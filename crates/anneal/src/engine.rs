@@ -36,12 +36,11 @@ pub struct SaOptions {
 pub const MAX_HIT_STATES: usize = 64;
 
 /// Capped recorder of *distinct* solution-hit states, shared by every
-/// driver that logs hits (full/delta SA, tempering, the D-Wave
-/// baseline): dedups against what it already holds, keeps at most
-/// [`MAX_HIT_STATES`] states, and raises `truncated` when a distinct
-/// state is dropped at the cap. Centralising this keeps the full and
-/// delta drivers bitwise in lockstep and the `truncated` lower-bound
-/// semantics uniform.
+/// driver that logs hits (full/delta SA, the D-Wave baseline): dedups
+/// against what it already holds, keeps at most [`MAX_HIT_STATES`]
+/// states, and raises `truncated` when a distinct state is dropped at
+/// the cap. Centralising this keeps the full and delta drivers bitwise
+/// in lockstep and the `truncated` lower-bound semantics uniform.
 #[derive(Debug, Clone)]
 pub struct HitRecorder<S> {
     enabled: bool,

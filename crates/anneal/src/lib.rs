@@ -46,12 +46,10 @@
 //! assert!(run.first_hit.is_some());
 //! ```
 
-pub mod adaptive;
 pub mod delta;
 pub mod engine;
 pub mod moves;
 pub mod schedule;
-pub mod tempering;
 
 pub use delta::{simulated_annealing_delta, DeltaEnergy, PairwiseSum};
 pub use engine::{simulated_annealing, SaOptions, SaRun};

@@ -1,10 +1,12 @@
 //! SA convergence traces (extension): prints an ASCII view of the
 //! measured objective over one run per benchmark, showing the Metropolis
-//! walk cooling into an equilibrium (the behaviour behind Alg. 1).
+//! walk cooling into an equilibrium (the behaviour behind Alg. 1). The
+//! trace is the incremental walk `CNashSolver::run` makes.
 //!
 //! `cargo run -p cnash-bench --bin convergence --release`
 
-use cnash_anneal::engine::{simulated_annealing, SaOptions};
+use cnash_anneal::delta::simulated_annealing_delta;
+use cnash_anneal::engine::SaOptions;
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_core::{CNashConfig, CNashSolver};
 use cnash_game::games;
@@ -29,12 +31,8 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(1 ^ 0x5EED_0101);
         let init = GridStrategyPair::random(game.row_actions(), game.col_actions(), 12, &mut rng)
             .expect("valid");
-        let run = simulated_annealing(
-            init,
-            |s| solver.evaluate(s),
-            |s, rng| s.neighbour(rng),
-            &opts,
-        );
+        let mut evaluator = solver.delta_evaluator(init).expect("valid");
+        let run = simulated_annealing_delta(&mut evaluator, &opts);
 
         println!(
             "{} — measured objective over {} iterations (final {:.4}):",

@@ -6,9 +6,10 @@
 //! Times the two production hot paths across a grid of game sizes and
 //! payoff/coupling densities:
 //!
-//! * **bi-crossbar**: `CNashSolver::evaluate` per proposal (full two-phase
-//!   read, `O(n·m)`) vs `CNashSolver::delta_evaluator` +
-//!   `simulated_annealing_delta` (`O((n+m)·log nm)`),
+//! * **bi-crossbar**: `CNashSolver::evaluate` per proposal (a from-scratch
+//!   two-phase read, `O(n·m)`) vs `CNashSolver::delta_evaluator` +
+//!   `simulated_annealing_delta` (`O((n+m)·log nm)`, the path every
+//!   `CNashSolver::run` takes),
 //! * **QUBO**: `anneal` (`O(n)` row scan per proposal) vs
 //!   `anneal_incremental` (cached local fields, `O(1)` per proposal).
 //!
@@ -23,7 +24,7 @@
 //!   (the incremental subsystem regressed into a slowdown),
 //! * exit 0 — measurements recorded.
 
-use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy};
+use cnash_anneal::delta::simulated_annealing_delta;
 use cnash_anneal::engine::{simulated_annealing, SaOptions};
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_bench::Cli;
@@ -89,7 +90,7 @@ fn bench_crossbar(n: usize, max_payoff: u32, iterations: usize, seed: u64) -> En
         record_hits: false,
     };
 
-    // Full path: two-phase re-evaluation per proposal.
+    // Full path: from-scratch two-phase evaluation per proposal.
     let start = Instant::now();
     let full = simulated_annealing(
         init.clone(),
@@ -105,19 +106,11 @@ fn bench_crossbar(n: usize, max_payoff: u32, iterations: usize, seed: u64) -> En
     let delta = simulated_annealing_delta(&mut evaluator, &opts);
     let delta_ns = start.elapsed().as_nanos() as f64 / iterations as f64;
 
-    // Equivalence, two layers. (1) The incrementally maintained energy
-    // must equal a from-scratch rebuild at the final state bit for bit —
-    // the delta subsystem's core invariant. (2) Pointwise pipeline
-    // agreement: the legacy full pipeline evaluated at the delta walk's
-    // best state must agree with the delta energy there up to FP
-    // reassociation and ADC rounding-tie noise (the walks themselves
-    // legitimately diverge, deltas being differently-rounded reals).
-    let scratch = solver
-        .delta_evaluator(delta.final_state.clone())
-        .expect("geometry matches")
-        .energy();
-    let pointwise = (solver.evaluate(&delta.best_state) - delta.best_energy).abs();
-    let equivalent = scratch == delta.final_energy && pointwise < 0.05;
+    // Equivalence: the incrementally maintained energy must equal a
+    // from-scratch evaluation bit for bit — the delta subsystem's core
+    // invariant — at the walk's final and best states.
+    let equivalent = solver.evaluate(&delta.final_state) == delta.final_energy
+        && solver.evaluate(&delta.best_state) == delta.best_energy;
     let _ = full.best_state;
 
     Entry {

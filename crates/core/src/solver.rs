@@ -3,7 +3,7 @@
 use crate::config::CNashConfig;
 use crate::error::CoreError;
 use crate::timing::CimTimingModel;
-use cnash_anneal::delta::simulated_annealing_delta;
+use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy};
 use cnash_anneal::engine::{simulated_annealing, SaOptions};
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_crossbar::{BiCrossbar, DeltaBiCrossbar, PhaseOneMax};
@@ -99,13 +99,6 @@ impl PhaseOneMax for WtaMax<'_> {
         }
     }
 }
-
-/// Payoff-matrix cell count (`n·m`) above which [`NashSolver::run`]
-/// drives the incremental delta evaluator instead of full per-proposal
-/// re-evaluation. 64 cells = the paper's largest benchmark (8×8), where
-/// the measured speedup straddles 1× — everything larger wins clearly
-/// (see `BENCH_sa_hotpath.json` trajectory in the README).
-pub const DELTA_EVAL_MIN_CELLS: usize = 64;
 
 /// The programmed hardware of a [`CNashSolver`]: the mapped bi-crossbar
 /// and both WTA trees, shared by reference counting.
@@ -259,35 +252,19 @@ impl CNashSolver {
     /// Hardware evaluation of the MAX-QUBO objective at a grid state:
     /// Phase 1 (MV reads + WTA maxima) then Phase 2 (VMV reads), combined
     /// by the SA logic (Fig. 6). Offsets cancel, so the value estimates
-    /// the true Nash gap.
+    /// the true Nash gap. This is a from-scratch
+    /// [`CNashSolver::delta_evaluator`] energy, so it equals bitwise the
+    /// energy a run's incremental walk reports at `state`.
     pub fn evaluate(&self, state: &GridStrategyPair) -> f64 {
-        let pc = state.p_counts();
-        let qc = state.q_counts();
-        let ph1 = self
-            .hardware
-            .phase_one(pc, qc)
-            .expect("state geometry matches the hardware");
-        let ph2 = self
-            .hardware
-            .phase_two(pc, qc)
-            .expect("state geometry matches the hardware");
-        let (alpha, beta) = if self.config.use_wta {
-            (
-                self.wta_row.eval(&ph1.row_payoffs).value,
-                self.wta_col.eval(&ph1.col_payoffs).value,
-            )
-        } else {
-            let exact_max = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            (exact_max(&ph1.row_payoffs), exact_max(&ph1.col_payoffs))
-        };
-        alpha + beta - ph2.row_value - ph2.col_value
+        self.delta_evaluator(state.clone())
+            .expect("state geometry matches the hardware")
+            .energy()
     }
 
     /// Builds the incremental evaluator of this solver's pipeline at
-    /// `state`: the same physics as [`CNashSolver::evaluate`], but a
-    /// single-unit move updates only the touched rows/columns
-    /// (`O((n+m)·log nm)` instead of `O(n·m)` per SA proposal). This is
-    /// the hot path [`NashSolver::run`] drives.
+    /// `state`: a single-unit move updates only the touched rows/columns
+    /// (`O((n+m)·log nm)` instead of `O(n·m)` per SA proposal). Every
+    /// [`NashSolver::run`] drives it.
     ///
     /// # Errors
     ///
@@ -321,47 +298,6 @@ impl CNashSolver {
         )
         .expect("benchmark games have non-empty action sets")
     }
-
-    /// Runs a *replica-exchange* (parallel tempering) search instead of
-    /// plain SA — an extension exploring the paper's convergence
-    /// future-work. The replicas time-multiplex the single bi-crossbar,
-    /// so the model time charges `replicas × sweeps` iterations.
-    pub fn run_tempered(&self, seed: u64, replicas: usize) -> RunOutcome {
-        use cnash_anneal::tempering::{parallel_tempering, TemperingOptions};
-        let sweeps = (self.config.iterations / replicas.max(1)).max(1);
-        let opts = TemperingOptions {
-            replicas,
-            t_cold: 0.005,
-            t_hot: 1.5,
-            sweeps,
-            swap_interval: 10,
-            seed,
-            target_energy: Some(self.config.gap_tolerance),
-        };
-        let run = parallel_tempering(
-            self.initial_state(seed),
-            |s| self.evaluate(s),
-            |s, rng| s.neighbour(rng),
-            &opts,
-        );
-        let p = run.best_state.p_strategy();
-        let q = run.best_state.q_strategy();
-        let lat = self.iteration_latency();
-        let solutions = run
-            .hit_states
-            .iter()
-            .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
-            .collect();
-        RunOutcome {
-            is_equilibrium: self.game.is_equilibrium(&p, &q, 1e-6),
-            profile: Some(Profile::pair(p, q)),
-            hit_time: None, // exchange steps break the linear-time mapping
-            total_time: (sweeps * replicas) as f64 * lat,
-            measured_objective: run.best_energy,
-            solutions,
-            solutions_truncated: run.hits_truncated,
-        }
-    }
 }
 
 impl NashSolver for CNashSolver {
@@ -382,21 +318,10 @@ impl NashSolver for CNashSolver {
             record_trace: false,
             record_hits: true,
         };
-        let init = self.initial_state(seed);
-        // The incremental evaluator's fixed per-proposal overhead (read
-        // requantization, WTA re-reduction, undo bookkeeping) only
-        // amortises once the full two-phase read it replaces is large
-        // enough; BENCH_sa_hotpath.json puts the crossover around 8×8.
-        // Below it — the paper's own benchmark games — the classic full
-        // re-evaluation stays the faster production path.
-        let sa = if self.game.row_actions() * self.game.col_actions() > DELTA_EVAL_MIN_CELLS {
-            let mut evaluator = self
-                .delta_evaluator(init)
-                .expect("initial state matches the hardware geometry");
-            simulated_annealing_delta(&mut evaluator, &opts)
-        } else {
-            simulated_annealing(init, |s| self.evaluate(s), |s, rng| s.neighbour(rng), &opts)
-        };
+        let mut evaluator = self
+            .delta_evaluator(self.initial_state(seed))
+            .expect("initial state matches the hardware geometry");
+        let sa = simulated_annealing_delta(&mut evaluator, &opts);
         // Algorithm 1 returns the final accepted strategy pair. (Tracking
         // the measured-best state instead would let static read-noise
         // outliers dominate — a solver on real hardware cannot tell a
@@ -502,8 +427,8 @@ impl NashSolver for IdealSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnash_anneal::delta::DeltaEnergy;
     use cnash_game::games;
+    use cnash_game::generators::random_integer_game;
 
     #[test]
     fn ideal_cnash_solves_bos() {
@@ -558,31 +483,53 @@ mod tests {
     #[test]
     fn delta_run_matches_full_reevaluation_bitwise() {
         // The incremental evaluator against the full driver re-evaluating
-        // every candidate from scratch through the same canonical
-        // pipeline: identical trajectories, bit for bit — with the full
-        // paper noise model (variability + 8-bit ADC + WTA trees) on.
-        let g = games::battle_of_the_sexes();
-        let s = CNashSolver::new(&g, CNashConfig::paper(12).with_iterations(400), 3).unwrap();
-        for seed in 0..3u64 {
-            let opts = SaOptions {
-                iterations: 400,
-                schedule: s.config().schedule,
-                seed,
-                target_energy: Some(s.config().gap_tolerance),
-                record_trace: true,
-                record_hits: true,
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let init = GridStrategyPair::random(2, 2, 12, &mut rng).unwrap();
-            let full = simulated_annealing(
-                init.clone(),
-                |st| s.delta_evaluator(st.clone()).expect("geometry").energy(),
-                |st, r| st.neighbour(r),
-                &opts,
-            );
-            let mut evaluator = s.delta_evaluator(init).unwrap();
-            let delta = simulated_annealing_delta(&mut evaluator, &opts);
-            assert_eq!(full, delta);
+        // every candidate from scratch through `evaluate`: identical
+        // trajectories, bit for bit — with the full paper noise model
+        // (variability + 8-bit ADC + WTA trees) on, on the three paper
+        // games and one game past their sizes.
+        let mut cases: Vec<BimatrixGame> = games::paper_benchmarks()
+            .into_iter()
+            .map(|b| b.game)
+            .collect();
+        cases.push(random_integer_game(9, 9, 3, 5).unwrap());
+        for g in &cases {
+            let s = CNashSolver::new(g, CNashConfig::paper(12).with_iterations(400), 3).unwrap();
+            let (n, m) = (g.row_actions(), g.col_actions());
+            for seed in 0..3u64 {
+                let opts = SaOptions {
+                    iterations: 400,
+                    schedule: s.config().schedule,
+                    seed,
+                    target_energy: Some(s.config().gap_tolerance),
+                    record_trace: true,
+                    record_hits: true,
+                };
+                let mut rng = StdRng::seed_from_u64(seed);
+                let init = GridStrategyPair::random(n, m, 12, &mut rng).unwrap();
+                let full = simulated_annealing(
+                    init.clone(),
+                    |st| s.evaluate(st),
+                    |st, r| st.neighbour(r),
+                    &opts,
+                );
+                let mut evaluator = s.delta_evaluator(init).unwrap();
+                let delta = simulated_annealing_delta(&mut evaluator, &opts);
+                assert_eq!(full, delta, "{}", g.name());
+                // The incrementally maintained energy at the end of the
+                // walk, and at its best state, is the from-scratch one.
+                assert_eq!(
+                    s.evaluate(evaluator.state()).to_bits(),
+                    evaluator.energy().to_bits(),
+                    "{}",
+                    g.name()
+                );
+                assert_eq!(
+                    s.evaluate(&delta.best_state).to_bits(),
+                    delta.best_energy.to_bits(),
+                    "{}",
+                    g.name()
+                );
+            }
         }
     }
 
@@ -651,22 +598,6 @@ mod tests {
         let out = ideal.run(4);
         assert!(out.is_equilibrium);
         assert!(out.total_time > 0.0);
-    }
-
-    #[test]
-    fn tempered_mode_solves_benchmarks() {
-        let g = games::bird_game();
-        let s = CNashSolver::new(&g, CNashConfig::paper(12).with_iterations(12_000), 0).unwrap();
-        let mut ok = 0;
-        for seed in 0..5 {
-            let out = s.run_tempered(seed, 6);
-            if out.is_equilibrium {
-                ok += 1;
-            }
-            // Time model charges all replicas.
-            assert!(out.total_time > 0.0);
-        }
-        assert!(ok >= 3, "tempered mode solved only {ok}/5");
     }
 
     #[test]

@@ -44,19 +44,6 @@ impl AdcSpec {
         Ok(AdcSpec::Uniform { bits, full_scale })
     }
 
-    /// Converts an input current to its quantized representation.
-    pub fn convert(&self, current: f64) -> f64 {
-        match *self {
-            AdcSpec::Ideal => current,
-            AdcSpec::Uniform { bits, full_scale } => {
-                let levels = (1u64 << bits) as f64 - 1.0;
-                let clamped = current.clamp(0.0, full_scale);
-                let code = (clamped / full_scale * levels).round();
-                code / levels * full_scale
-            }
-        }
-    }
-
     /// Least-significant-bit step size (0 for the ideal ADC).
     pub fn lsb(&self) -> f64 {
         match *self {
@@ -66,21 +53,69 @@ impl AdcSpec {
     }
 }
 
+/// The quantizer of an [`AdcSpec`] in multiply form: the reciprocal
+/// code constants are fixed per spec, so a conversion is two multiplies
+/// and a round instead of two divides — at one conversion per action per
+/// SA proposal, `fdiv` latency would be a measurable slice of the hot
+/// path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AdcQuant {
+    Ideal,
+    Uniform {
+        to_code: f64,
+        from_code: f64,
+        full_scale: f64,
+    },
+}
+
+impl AdcQuant {
+    pub(crate) fn from_spec(spec: &AdcSpec) -> Self {
+        match *spec {
+            AdcSpec::Ideal => AdcQuant::Ideal,
+            AdcSpec::Uniform { bits, full_scale } => {
+                let levels = (1u64 << bits) as f64 - 1.0;
+                AdcQuant::Uniform {
+                    to_code: levels / full_scale,
+                    from_code: full_scale / levels,
+                    full_scale,
+                }
+            }
+        }
+    }
+
+    /// Converts an input current to its quantized representation.
+    #[inline]
+    pub(crate) fn convert(&self, current: f64) -> f64 {
+        match *self {
+            AdcQuant::Ideal => current,
+            AdcQuant::Uniform {
+                to_code,
+                from_code,
+                full_scale,
+            } => (current.clamp(0.0, full_scale) * to_code).round() * from_code,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn quant(bits: u32, full_scale: f64) -> AdcQuant {
+        AdcQuant::from_spec(&AdcSpec::uniform(bits, full_scale).unwrap())
+    }
+
     #[test]
     fn ideal_passthrough() {
         let a = AdcSpec::Ideal;
-        assert_eq!(a.convert(1.234e-6), 1.234e-6);
+        assert_eq!(AdcQuant::from_spec(&a).convert(1.234e-6), 1.234e-6);
         assert_eq!(a.lsb(), 0.0);
     }
 
     #[test]
     fn uniform_quantizes_within_half_lsb() {
-        let a = AdcSpec::uniform(8, 1e-3).unwrap();
-        let lsb = a.lsb();
+        let lsb = AdcSpec::uniform(8, 1e-3).unwrap().lsb();
+        let a = quant(8, 1e-3);
         for k in 0..100 {
             let x = k as f64 * 1e-5 + 3.3e-7;
             let y = a.convert(x);
@@ -90,14 +125,14 @@ mod tests {
 
     #[test]
     fn clamps_out_of_range() {
-        let a = AdcSpec::uniform(4, 1.0).unwrap();
+        let a = quant(4, 1.0);
         assert_eq!(a.convert(2.0), 1.0);
         assert_eq!(a.convert(-0.5), 0.0);
     }
 
     #[test]
     fn endpoints_are_exact() {
-        let a = AdcSpec::uniform(6, 1.0).unwrap();
+        let a = quant(6, 1.0);
         assert_eq!(a.convert(0.0), 0.0);
         assert_eq!(a.convert(1.0), 1.0);
     }
@@ -113,8 +148,8 @@ mod tests {
     #[test]
     fn more_bits_less_error() {
         let x = 0.123456;
-        let e4 = (AdcSpec::uniform(4, 1.0).unwrap().convert(x) - x).abs();
-        let e12 = (AdcSpec::uniform(12, 1.0).unwrap().convert(x) - x).abs();
+        let e4 = (quant(4, 1.0).convert(x) - x).abs();
+        let e12 = (quant(12, 1.0).convert(x) - x).abs();
         assert!(e12 < e4);
     }
 }

@@ -2,16 +2,20 @@
 //!
 //! Phase 1 reads both arrays in matrix-vector mode (all word lines up) to
 //! obtain the payoff vectors `Mq` and `Nᵀp`; Phase 2 reads both in VMV
-//! mode to obtain `pᵀMq` and `pᵀNq`. This module performs the reads,
-//! ADC conversion and de-normalisation; the `max(·)` of Phase 1 is either
-//! exact (for standalone use and ablation) or delegated to the WTA tree by
+//! mode to obtain `pᵀMq` and `pᵀNq`. This module programs the arrays and
+//! their ADCs; the reads, ADC conversion and de-normalisation are
+//! [`DeltaBiCrossbar`]'s, whose Phase-1 `max(·)` is either exact (for
+//! standalone use and ablation) or delegated to the WTA tree by
 //! `cnash-core`.
 
 use crate::adc::AdcSpec;
 use crate::array::Crossbar;
+use crate::delta::{DeltaBiCrossbar, ExactMax};
 use crate::error::CrossbarError;
 use crate::mapping::MappingSpec;
 use crate::offset::QuantizedPayoffs;
+use cnash_anneal::delta::DeltaEnergy;
+use cnash_anneal::moves::GridStrategyPair;
 use cnash_device::cell::CellParams;
 use cnash_device::variability::VariabilityModel;
 use cnash_game::{BimatrixGame, MixedStrategy};
@@ -72,24 +76,6 @@ impl CrossbarConfig {
             .write_str(&format!("{self:?}"));
         h.finish()
     }
-}
-
-/// Phase-1 read result: digitised payoff-vector values in payoff units.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseOneRead {
-    /// `Mq` — row player's payoff per action (offset payoff units).
-    pub row_payoffs: Vec<f64>,
-    /// `Nᵀp` — column player's payoff per action (offset payoff units).
-    pub col_payoffs: Vec<f64>,
-}
-
-/// Phase-2 read result: digitised bilinear values in payoff units.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseTwoRead {
-    /// `pᵀMq` in offset payoff units.
-    pub row_value: f64,
-    /// `pᵀNq` in offset payoff units.
-    pub col_value: f64,
 }
 
 /// The FeFET bi-crossbar storing `M` and `Nᵀ`.
@@ -205,51 +191,10 @@ impl BiCrossbar {
         ))
     }
 
-    /// Phase 1: matrix-vector reads with unit input vectors (all word
-    /// lines active), returning digitised `Mq` and `Nᵀp` in *offset*
-    /// payoff units (the WTA max of these feeds Eq. 9).
-    ///
-    /// # Errors
-    ///
-    /// Returns an activation error if counts do not fit the geometry.
-    pub fn phase_one(&self, p: &[u32], q: &[u32]) -> Result<PhaseOneRead, CrossbarError> {
-        let row_payoffs = self
-            .xbar_m
-            .read_mv(q)?
-            .into_iter()
-            .map(|c| self.xbar_m.mv_current_to_value(self.adc_m.convert(c)) / self.scale)
-            .collect();
-        let col_payoffs = self
-            .xbar_nt
-            .read_mv(p)?
-            .into_iter()
-            .map(|c| self.xbar_nt.mv_current_to_value(self.adc_nt.convert(c)) / self.scale)
-            .collect();
-        Ok(PhaseOneRead {
-            row_payoffs,
-            col_payoffs,
-        })
-    }
-
-    /// Phase 2: VMV reads returning digitised `pᵀMq` and `pᵀNq` in offset
-    /// payoff units (WTA trees deactivated).
-    ///
-    /// # Errors
-    ///
-    /// Returns an activation error if counts do not fit the geometry.
-    pub fn phase_two(&self, p: &[u32], q: &[u32]) -> Result<PhaseTwoRead, CrossbarError> {
-        let cm = self.xbar_m.read_vmv(p, q)?;
-        // N^T is stored transposed: rows are column-player actions.
-        let cnt = self.xbar_nt.read_vmv(q, p)?;
-        Ok(PhaseTwoRead {
-            row_value: self.xbar_m.current_to_value(self.adc_m.convert(cm)) / self.scale,
-            col_value: self.xbar_nt.current_to_value(self.adc_nt.convert(cnt)) / self.scale,
-        })
-    }
-
     /// Full two-phase hardware evaluation of the MAX-QUBO objective
     /// (Eq. 9) with an *exact* max (no WTA error) — the ablation
-    /// reference. `cnash-core` replaces the max with the WTA tree model.
+    /// reference, a from-scratch [`DeltaBiCrossbar`] energy. `cnash-core`
+    /// replaces the max with the WTA tree model.
     ///
     /// The payoff offsets cancel between the max terms and the bilinear
     /// terms, so the result is directly comparable to
@@ -260,19 +205,8 @@ impl BiCrossbar {
     /// Propagates activation/grid errors.
     pub fn nash_gap(&self, p: &MixedStrategy, q: &MixedStrategy) -> Result<f64, CrossbarError> {
         let (pc, qc) = self.activations(p, q)?;
-        let ph1 = self.phase_one(&pc, &qc)?;
-        let ph2 = self.phase_two(&pc, &qc)?;
-        let alpha = ph1
-            .row_payoffs
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let beta = ph1
-            .col_payoffs
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        Ok(alpha + beta - ph2.row_value - ph2.col_value)
+        let state = GridStrategyPair::new(pc, qc, self.intervals)?;
+        Ok(DeltaBiCrossbar::new(self, state, ExactMax)?.energy())
     }
 }
 
@@ -357,10 +291,12 @@ mod tests {
         let p = MixedStrategy::uniform(3).unwrap();
         let q = MixedStrategy::uniform(3).unwrap();
         let (pc, qc) = xbar.activations(&p, &q).unwrap();
-        let ph1 = xbar.phase_one(&pc, &qc).unwrap();
+        let state = GridStrategyPair::new(pc, qc, 12).unwrap();
+        let eval = DeltaBiCrossbar::new(&xbar, state, ExactMax).unwrap();
         // Offset is 0 for the bird game (min payoff 0), so values match Mq.
         let exact = g.row_payoff_vector(&q).unwrap();
-        for (v, e) in ph1.row_payoffs.iter().zip(exact) {
+        for (c, e) in eval.row_reads().iter().zip(exact) {
+            let v = xbar.array_m().mv_current_to_value(*c);
             // Off-cell subthreshold leakage bounds the residual error.
             assert!((v - e).abs() < 1e-4, "{v} vs {e}");
         }

@@ -118,7 +118,7 @@
 //! * `counters` / `gauges` / `histograms` — the daemon registry
 //!   (per-op latencies `op_<name>_ns`, scheduler `sched_*`, cache
 //!   `cache_*`) merged with the process-global hot-path aggregates
-//!   (`sa_runs`, `sa_sweeps`, `sa_accepts`, `sa_swaps`, `pool_tasks`,
+//!   (`sa_runs`, `sa_sweeps`, `sa_accepts`, `pool_tasks`,
 //!   `pool_task_ns`, `pool_fold_wait_ns`). Histogram quantiles are the
 //!   log-bucketed upper bounds (≤ ~3.2% relative error), clamped to
 //!   the observed `max_ns`; `min_ns` is 0 while a histogram is empty.
@@ -340,7 +340,6 @@ pub fn metrics_response(id: &Json, snapshot: &RegistrySnapshot) -> Json {
         ("pool_tasks", &hot::POOL_TASKS),
         ("sa_accepts", &hot::SA_ACCEPTS),
         ("sa_runs", &hot::SA_RUNS),
-        ("sa_swaps", &hot::SA_SWAPS),
         ("sa_sweeps", &hot::SA_SWEEPS),
     ] {
         counters.push((name.to_string(), Json::uint(counter.get())));
@@ -519,13 +518,7 @@ mod tests {
         let counters = m.get("counters").unwrap();
         assert_eq!(counters.get("op_ping").unwrap().as_u64().unwrap(), 3);
         // The process-global hot aggregates are merged in by name.
-        for name in [
-            "sa_runs",
-            "sa_sweeps",
-            "sa_accepts",
-            "sa_swaps",
-            "pool_tasks",
-        ] {
+        for name in ["sa_runs", "sa_sweeps", "sa_accepts", "pool_tasks"] {
             assert!(
                 counters.get(name).unwrap().as_u64().is_ok(),
                 "missing {name}"

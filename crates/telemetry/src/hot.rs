@@ -20,18 +20,15 @@ use crate::events::EventLog;
 use crate::hist::Histogram;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Completed simulated-annealing driver invocations (full, delta or
-/// tempering). Each invocation is one *restart* in the paper's
-/// restart-TTS sense (Fig. 10): solvers reach a target confidence by
-/// re-running the annealer under fresh seeds, and this counts those
-/// re-runs.
+/// Completed simulated-annealing driver invocations (full or delta).
+/// Each invocation is one *restart* in the paper's restart-TTS sense
+/// (Fig. 10): solvers reach a target confidence by re-running the
+/// annealer under fresh seeds, and this counts those re-runs.
 pub static SA_RUNS: Counter = Counter::new();
 /// Total SA sweeps (iterations) across all runs.
 pub static SA_SWEEPS: Counter = Counter::new();
 /// Total accepted Metropolis moves across all runs.
 pub static SA_ACCEPTS: Counter = Counter::new();
-/// Accepted replica-exchange swaps (parallel tempering only).
-pub static SA_SWAPS: Counter = Counter::new();
 
 /// Tasks executed by `fan_out_ordered` workers.
 pub static POOL_TASKS: Counter = Counter::new();

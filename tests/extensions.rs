@@ -127,20 +127,3 @@ fn ageing_supports_store_once_usage() {
     let write_heavy = aged_window_fraction(&retention, &endurance, ten_years, 1e12);
     assert!(write_heavy < 0.2, "write-heavy window {write_heavy}");
 }
-
-/// Tempered solving covers the MPD equilibrium set at least as fast (in
-/// hit states per run) as plain SA on hard instances.
-#[test]
-fn tempering_collects_multiple_solutions_per_run() {
-    let g = cnash_game::games::modified_prisoners_dilemma();
-    let solver =
-        CNashSolver::new(&g, CNashConfig::paper(12).with_iterations(12_000), 0).expect("maps");
-    let mut tempered_hits = 0;
-    for seed in 0..3 {
-        tempered_hits += solver.run_tempered(seed, 6).solutions.len();
-    }
-    assert!(
-        tempered_hits >= 3,
-        "tempered runs collected only {tempered_hits} candidate solutions"
-    );
-}
