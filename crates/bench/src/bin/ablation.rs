@@ -1,4 +1,4 @@
-//! Ablation studies of the design choices called out in DESIGN.md:
+//! Ablation studies of the C-Nash design choices:
 //!
 //! * **A1 — grid resolution:** interval count `I` controls which mixed
 //!   equilibria are representable (the paper's `1/I` quantization).
@@ -102,39 +102,6 @@ fn main() {
         let cfg = CNashConfig::paper_at_corner(12, corner).with_iterations(15_000);
         let s = CNashSolver::new(&game, cfg, cli.seed).expect("maps");
         push(&format!("corner {corner}"), runner.evaluate(&s, &truth));
-    }
-
-    // Dominance-reduced solving on the 8-action game: same answers from
-    // a 4x smaller crossbar.
-    {
-        use cnash_core::reduced::ReducedCNashSolver;
-        let mpd = games::modified_prisoners_dilemma();
-        let mpd_truth = enumerate_equilibria(&mpd, 1e-9);
-        let direct = CNashSolver::new(
-            &mpd,
-            CNashConfig::paper(12).with_iterations(10_000),
-            cli.seed,
-        )
-        .expect("maps");
-        let reduced = ReducedCNashSolver::new(
-            &mpd,
-            CNashConfig::paper(12).with_iterations(10_000),
-            cli.seed,
-        )
-        .expect("maps");
-        let rd = runner.evaluate(&direct, &mpd_truth);
-        let rr = runner.evaluate(&reduced, &mpd_truth);
-        let (cells_r, cells_d) = reduced.cell_savings();
-        rows.push(vec![
-            format!("MPD direct ({cells_d} cells)"),
-            format!("{:.1}", rd.success_rate),
-            format!("{}/{}", rd.covered, rd.target_count),
-        ]);
-        rows.push(vec![
-            format!("MPD dominance-reduced ({cells_r} cells)"),
-            format!("{:.1}", rr.success_rate),
-            format!("{}/{}", rr.covered, rr.target_count),
-        ]);
     }
 
     print!(

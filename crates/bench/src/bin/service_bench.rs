@@ -22,10 +22,9 @@
 //!   itself),
 //! * exit 0 — measurements recorded.
 
-use cnash_bench::client::ServiceConn;
+use cnash_bench::client::{cache_hit, fail, solve_request, timed_solve, ServiceConn};
 use cnash_bench::Cli;
 use cnash_core::report::render_table;
-use cnash_runtime::spec::{ConfigSpec, GameSpec, JobSpec, SolverSpec};
 use cnash_runtime::Json;
 use cnash_service::{serve, ServiceConfig};
 
@@ -62,60 +61,6 @@ impl Entry {
     }
 }
 
-fn solve_request(id: usize, size: usize, iterations: usize, seed: u64) -> String {
-    let job = JobSpec {
-        game: GameSpec::Random {
-            rows: size,
-            cols: size,
-            max_payoff: 3,
-            seed,
-        },
-        solver: SolverSpec::CNash {
-            config: ConfigSpec::paper(12).with_iterations(iterations),
-            hardware_seed: 0,
-        },
-        runs: 1,
-        base_seed: seed,
-        early_stop: None,
-        label: Some(format!("service-{size}x{size}")),
-    };
-    Json::obj([
-        ("op", Json::str("solve")),
-        ("id", Json::num(id as f64)),
-        ("job", job.to_json()),
-        // Support enumeration is intractable at these sizes; coverage
-        // statistics are not what this harness measures.
-        ("ground_truth", Json::str("skip")),
-    ])
-    .compact()
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(2);
-}
-
-/// One solve round trip; returns `(cache_hit, wall_ms)`.
-fn timed_solve(conn: &mut ServiceConn, request: &str) -> (bool, f64) {
-    let response = conn
-        .round_trip(request)
-        .unwrap_or_else(|e| fail(&format!("service connection died: {e}")));
-    let doc =
-        Json::parse(&response).unwrap_or_else(|e| fail(&format!("unparseable response: {e}")));
-    if !doc.get("ok").and_then(Json::as_bool).unwrap_or(false) {
-        fail(&format!("solve rejected: {response}"));
-    }
-    let hit = doc
-        .get("cache_hit")
-        .and_then(Json::as_bool)
-        .unwrap_or_else(|e| fail(&format!("response lacks cache_hit: {e}")));
-    let wall = doc
-        .get("wall_ms")
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|e| fail(&format!("response lacks wall_ms: {e}")));
-    (hit, wall)
-}
-
 fn main() {
     let cli = Cli::parse_for(&["--quick", "--seed", "--out"]);
     let seed = cli.seed;
@@ -141,9 +86,15 @@ fn main() {
     for &(size, iterations) in &grid {
         eprintln!("measuring {size}x{size} ({iterations} iters, {HIT_REPEATS} hit repeats)...");
         next_id += 1;
-        let request = solve_request(next_id, size, iterations, seed.wrapping_add(size as u64));
-        let (hit, cold_ms) = timed_solve(&mut conn, &request);
-        if hit {
+        let request = solve_request(
+            next_id,
+            size,
+            iterations,
+            seed.wrapping_add(size as u64),
+            &format!("service-{size}x{size}"),
+        );
+        let (doc, cold_ms) = timed_solve(&mut conn, &request);
+        if cache_hit(&doc) {
             fail(&format!(
                 "first {size}x{size} request already hit the cache"
             ));
@@ -151,8 +102,8 @@ fn main() {
         let mut hits = Vec::new();
         for _ in 0..HIT_REPEATS {
             // Identical job spec → same canonical key → must hit.
-            let (hit, wall) = timed_solve(&mut conn, &request);
-            if !hit {
+            let (doc, wall) = timed_solve(&mut conn, &request);
+            if !cache_hit(&doc) {
                 fail(&format!("repeat {size}x{size} request missed the cache"));
             }
             hits.push(wall);

@@ -29,10 +29,9 @@
 //!   before every pipelined request was answered,
 //! * exit 0 — every request answered; measurements recorded.
 
-use cnash_bench::client::ServiceConn;
+use cnash_bench::client::{fail, solve_request, timed_solve, ServiceConn};
 use cnash_bench::{usage_lines, Cli};
 use cnash_core::report::render_table;
-use cnash_runtime::spec::{ConfigSpec, GameSpec, JobSpec, SolverSpec};
 use cnash_runtime::Json;
 use cnash_service::framing::{FramedLine, LineFramer};
 use cnash_service::reactor::{PollEvent, Poller};
@@ -60,37 +59,10 @@ const STALL_TIMEOUT: Duration = Duration::from_secs(60);
 /// finite; the reactor drains it between bursts).
 const CONNECT_BURST: usize = 100;
 
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(2);
-}
-
 /// The warm-cache job every connection pipelines: small enough that the
 /// daemon, not the solver, dominates (4×4 random game, one short run).
-fn solve_request(id: usize, seed: u64) -> String {
-    let job = JobSpec {
-        game: GameSpec::Random {
-            rows: 4,
-            cols: 4,
-            max_payoff: 3,
-            seed,
-        },
-        solver: SolverSpec::CNash {
-            config: ConfigSpec::paper(12).with_iterations(150),
-            hardware_seed: 0,
-        },
-        runs: 1,
-        base_seed: seed,
-        early_stop: None,
-        label: Some("service-load-4x4".into()),
-    };
-    Json::obj([
-        ("op", Json::str("solve")),
-        ("id", Json::num(id as f64)),
-        ("job", job.to_json()),
-        ("ground_truth", Json::str("skip")),
-    ])
-    .compact()
+fn load_request(id: usize, seed: u64) -> String {
+    solve_request(id, 4, 150, seed, "service-load-4x4")
 }
 
 /// One load connection's state machine: a pre-serialised pipeline of
@@ -154,26 +126,17 @@ fn main() {
     };
 
     // Warm the cache so the load phase is pure cache-hit traffic.
-    let request = solve_request(0, cli.seed);
-    {
-        let mut warm = ServiceConn::connect(addr)
-            .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-        let response = warm
-            .round_trip(&request)
-            .unwrap_or_else(|e| fail(&format!("warm-up solve failed: {e}")));
-        let doc = Json::parse(&response)
-            .unwrap_or_else(|e| fail(&format!("unparseable warm-up response: {e}")));
-        if !doc.get("ok").and_then(Json::as_bool).unwrap_or(false) {
-            fail(&format!("warm-up solve rejected: {response}"));
-        }
-    }
+    let mut warm = ServiceConn::connect(addr)
+        .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
+    timed_solve(&mut warm, &load_request(0, cli.seed));
+    drop(warm);
 
     // Every connection pipelines the same byte block; per-request send
     // times are recovered from the block's prefix boundaries.
     let mut block: Vec<u8> = Vec::new();
     let mut boundaries: Vec<usize> = Vec::with_capacity(per_conn);
     for k in 0..per_conn {
-        block.extend_from_slice(solve_request(k + 1, cli.seed).as_bytes());
+        block.extend_from_slice(load_request(k + 1, cli.seed).as_bytes());
         block.push(b'\n');
         boundaries.push(block.len());
     }

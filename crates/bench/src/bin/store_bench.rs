@@ -26,10 +26,9 @@
 //!   faster than the cold solve (the store stopped paying for itself),
 //! * exit 0 — measurements recorded.
 
-use cnash_bench::client::ServiceConn;
+use cnash_bench::client::{fail, normalise_response, solve_request, timed_solve, ServiceConn};
 use cnash_bench::Cli;
 use cnash_core::report::render_table;
-use cnash_runtime::spec::{ConfigSpec, GameSpec, JobSpec, SolverSpec};
 use cnash_runtime::Json;
 use cnash_service::{serve, ServiceConfig, ServiceHandle};
 
@@ -73,71 +72,17 @@ impl Entry {
     }
 }
 
-fn solve_request(id: usize, size: usize, iterations: usize, seed: u64) -> String {
-    let job = JobSpec {
-        game: GameSpec::Random {
-            rows: size,
-            cols: size,
-            max_payoff: 3,
-            seed,
-        },
-        solver: SolverSpec::CNash {
-            config: ConfigSpec::paper(12).with_iterations(iterations),
-            hardware_seed: 0,
-        },
-        runs: 1,
-        base_seed: seed,
-        early_stop: None,
-        label: Some(format!("store-{size}x{size}")),
-    };
-    Json::obj([
-        ("op", Json::str("solve")),
-        ("id", Json::num(id as f64)),
-        ("job", job.to_json()),
-        ("ground_truth", Json::str("skip")),
-    ])
-    .compact()
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(2);
-}
-
-/// Strips the per-call provenance (`id`, `cache`, timing) so a disk
-/// replay can be compared byte-for-byte against the cold solve.
-fn normalise(doc: &Json) -> String {
-    let mut doc = doc.clone();
+/// One solve round trip; returns `(from_disk, wall_ms, normalised)`,
+/// where `normalised` drops the per-call provenance (`id`, `cache`,
+/// timing) so a disk replay can be compared byte-for-byte against the
+/// cold solve.
+fn store_solve(conn: &mut ServiceConn, request: &str) -> (bool, f64, String) {
+    let (mut doc, wall) = timed_solve(conn, request);
+    let from_disk = doc.get("cache").and_then(Json::as_str).ok() == Some("disk");
     if let Json::Obj(map) = &mut doc {
         map.remove("id");
-        map.remove("cache");
-        map.remove("wall_ms");
-        map.remove("program_ms");
     }
-    doc.compact()
-}
-
-/// One solve round trip; returns `(from_disk, wall_ms, normalised)`.
-fn timed_solve(conn: &mut ServiceConn, request: &str) -> (bool, f64, String) {
-    let response = conn
-        .round_trip(request)
-        .unwrap_or_else(|e| fail(&format!("service connection died: {e}")));
-    let doc =
-        Json::parse(&response).unwrap_or_else(|e| fail(&format!("unparseable response: {e}")));
-    if !doc.get("ok").and_then(Json::as_bool).unwrap_or(false) {
-        fail(&format!("solve rejected: {response}"));
-    }
-    let from_disk = doc
-        .get("cache")
-        .and_then(Json::as_str)
-        .map(|c| c == "disk")
-        .unwrap_or(false);
-    let wall = doc
-        .get("wall_ms")
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|e| fail(&format!("response lacks wall_ms: {e}")));
-    let normalised = normalise(&doc);
-    (from_disk, wall, normalised)
+    (from_disk, wall, normalise_response(&doc.compact()))
 }
 
 fn boot(store_path: &str) -> (ServiceHandle, ServiceConn) {
@@ -179,8 +124,14 @@ fn main() {
     for &(size, iterations) in &grid {
         eprintln!("measuring {size}x{size} ({iterations} iters, {HIT_REPEATS} disk repeats)...");
         next_id += 1;
-        let request = solve_request(next_id, size, iterations, seed.wrapping_add(size as u64));
-        let (from_disk, cold_ms, normalised) = timed_solve(&mut conn, &request);
+        let request = solve_request(
+            next_id,
+            size,
+            iterations,
+            seed.wrapping_add(size as u64),
+            &format!("store-{size}x{size}"),
+        );
+        let (from_disk, cold_ms, normalised) = store_solve(&mut conn, &request);
         if from_disk {
             fail(&format!(
                 "first {size}x{size} request was already on disk (stale --store log?)"
@@ -189,7 +140,7 @@ fn main() {
         let mut hits = Vec::new();
         for _ in 0..HIT_REPEATS {
             // Identical job spec → same store key → must be a disk hit.
-            let (from_disk, wall, replay) = timed_solve(&mut conn, &request);
+            let (from_disk, wall, replay) = store_solve(&mut conn, &request);
             if !from_disk {
                 fail(&format!("repeat {size}x{size} request missed the store"));
             }
@@ -228,8 +179,9 @@ fn main() {
             entry.size,
             entry.iterations,
             seed.wrapping_add(entry.size as u64),
+            &entry.label,
         );
-        let (from_disk, wall, replay) = timed_solve(&mut conn, &request);
+        let (from_disk, wall, replay) = store_solve(&mut conn, &request);
         if !from_disk {
             fail(&format!(
                 "post-restart {0}x{0} request missed the store — warm boot lost the record",

@@ -27,12 +27,13 @@
 //!   more than the 5% gate on the 64×64 cache-hit path,
 //! * exit 0 — measurements recorded.
 
-use cnash_bench::client::ServiceConn;
+use cnash_bench::client::{
+    cache_hit, fail, normalise_response, solve_request, timed_solve, ServiceConn,
+};
 use cnash_bench::Cli;
 use cnash_core::report::render_table;
-use cnash_runtime::spec::{ConfigSpec, GameSpec, JobSpec, SolverSpec};
 use cnash_runtime::Json;
-use cnash_service::{serve, strip_timing, ServiceConfig};
+use cnash_service::{serve, ServiceConfig};
 
 /// The gate: enabled-vs-disabled overhead on the 64×64 cache-hit
 /// service path must stay under this fraction.
@@ -42,63 +43,17 @@ const ITERATIONS: usize = 300;
 /// Cache-hit round trips summed into one timing sample.
 const BATCH: usize = 8;
 
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(2);
-}
-
-fn solve_request(id: usize, seed: u64) -> String {
-    let job = JobSpec {
-        game: GameSpec::Random {
-            rows: GATE_SIZE,
-            cols: GATE_SIZE,
-            max_payoff: 3,
-            seed,
-        },
-        solver: SolverSpec::CNash {
-            config: ConfigSpec::paper(12).with_iterations(ITERATIONS),
-            hardware_seed: 0,
-        },
-        runs: 1,
-        base_seed: seed,
-        early_stop: None,
-        label: Some(format!("telemetry-{GATE_SIZE}x{GATE_SIZE}")),
-    };
-    Json::obj([
-        ("op", Json::str("solve")),
-        ("id", Json::num(id as f64)),
-        ("job", job.to_json()),
-        ("ground_truth", Json::str("skip")),
-    ])
-    .compact()
-}
-
 /// One solve round trip; returns `(cache_hit, wall_ms, stripped doc)`.
-fn timed_solve(conn: &mut ServiceConn, request: &str) -> (bool, f64, String) {
-    let response = conn
-        .round_trip(request)
-        .unwrap_or_else(|e| fail(&format!("service connection died: {e}")));
-    let mut doc =
-        Json::parse(&response).unwrap_or_else(|e| fail(&format!("unparseable response: {e}")));
-    if !doc.get("ok").and_then(Json::as_bool).unwrap_or(false) {
-        fail(&format!("solve rejected: {response}"));
-    }
-    let hit = doc
-        .get("cache_hit")
-        .and_then(Json::as_bool)
-        .unwrap_or_else(|e| fail(&format!("response lacks cache_hit: {e}")));
-    let wall = doc
-        .get("wall_ms")
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|e| fail(&format!("response lacks wall_ms: {e}")));
-    strip_timing(&mut doc);
+fn telemetry_solve(conn: &mut ServiceConn, request: &str) -> (bool, f64, String) {
+    let (mut doc, wall) = timed_solve(conn, request);
+    let hit = cache_hit(&doc);
     if let Json::Obj(map) = &mut doc {
         // cache_hit is false exactly once (the warming request);
         // everything else must be mode-independent.
         map.remove("cache_hit");
         map.remove("id");
     }
-    (hit, wall, doc.compact())
+    (hit, wall, normalise_response(&doc.compact()))
 }
 
 fn min_of(samples: &[f64]) -> f64 {
@@ -125,8 +80,14 @@ fn main() {
     cnash_telemetry::set_enabled(true);
     let mut next_id = 0usize;
     next_id += 1;
-    let request = solve_request(next_id, cli.seed.wrapping_add(GATE_SIZE as u64));
-    let (hit, _, reference) = timed_solve(&mut conn, &request);
+    let request = solve_request(
+        next_id,
+        GATE_SIZE,
+        ITERATIONS,
+        cli.seed.wrapping_add(GATE_SIZE as u64),
+        &format!("telemetry-{GATE_SIZE}x{GATE_SIZE}"),
+    );
+    let (hit, _, reference) = telemetry_solve(&mut conn, &request);
     if hit {
         fail("the warming request already hit the cache");
     }
@@ -142,7 +103,7 @@ fn main() {
             cnash_telemetry::set_enabled(enabled);
             let mut batch_ms = 0.0;
             for _ in 0..BATCH {
-                let (hit, wall, stripped) = timed_solve(&mut conn, &request);
+                let (hit, wall, stripped) = telemetry_solve(&mut conn, &request);
                 if !hit {
                     cnash_telemetry::set_enabled(true);
                     fail("a repeat request missed the cache");

@@ -1,10 +1,13 @@
 //! Client-side plumbing for the solver service's JSON-lines protocol.
 //!
-//! Shared by the `service_client` CLI, the `service_bench` harness and
-//! the repository-root round-trip test: a thin line-framed connection
-//! plus the golden-file normalisation (strip wall-clock fields,
-//! re-serialise canonically).
+//! Shared by the `service_client` CLI, the service bench harnesses
+//! (`service_bench`, `store_bench`, `telemetry_bench`, `service_load`)
+//! and the repository-root round-trip test: a thin line-framed
+//! connection, the golden-file normalisation (strip wall-clock fields,
+//! re-serialise canonically), and the benches' request builder and
+//! checked solve round trip.
 
+use cnash_runtime::spec::{ConfigSpec, GameSpec, JobSpec, SolverSpec};
 use cnash_runtime::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -126,6 +129,71 @@ pub fn normalise_response(line: &str) -> String {
         }
         Err(_) => line.to_string(),
     }
+}
+
+/// Builds the service benches' `solve` request line: a seeded
+/// `size`×`size` random game (payoffs `0..=3`) on the paper-preset
+/// C-Nash solver at `iterations` SA steps, one run from `seed`, with
+/// ground truth skipped — support enumeration is intractable at bench
+/// sizes, and coverage is not what the benches measure.
+pub fn solve_request(id: usize, size: usize, iterations: usize, seed: u64, label: &str) -> String {
+    let job = JobSpec {
+        game: GameSpec::Random {
+            rows: size,
+            cols: size,
+            max_payoff: 3,
+            seed,
+        },
+        solver: SolverSpec::CNash {
+            config: ConfigSpec::paper(12).with_iterations(iterations),
+            hardware_seed: 0,
+        },
+        runs: 1,
+        base_seed: seed,
+        early_stop: None,
+        label: Some(label.to_string()),
+    };
+    Json::obj([
+        ("op", Json::str("solve")),
+        ("id", Json::num(id as f64)),
+        ("job", job.to_json()),
+        ("ground_truth", Json::str("skip")),
+    ])
+    .compact()
+}
+
+/// Reports a bench protocol or setup failure on stderr and exits with
+/// status 2, the service benches' shared "not a measurement" code.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(2);
+}
+
+/// One checked solve round trip: a dropped connection, an unparseable
+/// response, `"ok": false` or a missing `wall_ms` all [`fail`]. Returns
+/// the parsed response and its server-reported `wall_ms`.
+pub fn timed_solve(conn: &mut ServiceConn, request: &str) -> (Json, f64) {
+    let response = conn
+        .round_trip(request)
+        .unwrap_or_else(|e| fail(&format!("service connection died: {e}")));
+    let doc =
+        Json::parse(&response).unwrap_or_else(|e| fail(&format!("unparseable response: {e}")));
+    if !doc.get("ok").and_then(Json::as_bool).unwrap_or(false) {
+        fail(&format!("solve rejected: {response}"));
+    }
+    let wall = doc
+        .get("wall_ms")
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|e| fail(&format!("response lacks wall_ms: {e}")));
+    (doc, wall)
+}
+
+/// The `cache_hit` flag of a solve response; a response without one
+/// [`fail`]s.
+pub fn cache_hit(doc: &Json) -> bool {
+    doc.get("cache_hit")
+        .and_then(Json::as_bool)
+        .unwrap_or_else(|e| fail(&format!("response lacks cache_hit: {e}")))
 }
 
 #[cfg(test)]

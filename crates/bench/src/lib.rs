@@ -4,9 +4,9 @@
 //! binaries** (Table 1, Figs. 7–10, `batch`, `perf`, the service
 //! clients) and the **`diffcheck` differential oracle fuzzer** — the
 //! repository's strongest evidence that the analog C-Nash pipeline
-//! finds true Nash equilibria. Paper-vs-measured numbers for every
-//! artefact are recorded in `EXPERIMENTS.md` at the repository root;
-//! the full correctness chain is documented in `docs/VERIFICATION.md`.
+//! finds true Nash equilibria. The README's "Reproduction binaries"
+//! section lists which binary regenerates which paper artefact; the full
+//! correctness chain is documented in `docs/VERIFICATION.md`.
 //!
 //! # Differential-fuzzing methodology ([`diffcheck`])
 //!

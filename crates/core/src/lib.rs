@@ -46,7 +46,6 @@ pub mod config;
 pub mod energy;
 pub mod error;
 pub mod experiment;
-pub mod reduced;
 pub mod report;
 pub mod solver;
 pub mod timing;

@@ -39,7 +39,6 @@
 pub mod adc;
 pub mod array;
 pub mod bicrossbar;
-pub mod binary_mapping;
 pub mod delta;
 pub mod error;
 pub mod mapping;

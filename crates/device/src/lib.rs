@@ -39,10 +39,8 @@
 pub mod cell;
 pub mod corners;
 pub mod fefet;
-pub mod mlc;
 pub mod montecarlo;
 pub mod preisach;
-pub mod retention;
 pub mod variability;
 pub mod waveform;
 

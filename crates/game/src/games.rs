@@ -7,8 +7,10 @@
 //! are not recoverable from the sources available offline, so this module
 //! provides faithful stand-ins with the same action counts and the same
 //! qualitative equilibrium structure (a mixture of pure and mixed NE, all
-//! representable on the crossbar's probability grid) — see `DESIGN.md` for
-//! the substitution rationale. Ground-truth equilibrium sets come from
+//! representable on the crossbar's probability grid). Coverage is always
+//! measured against each stand-in's own ground-truth equilibrium set, so
+//! the paper's coverage-relative comparisons carry over even where the
+//! equilibrium counts differ. Ground-truth sets come from
 //! [`crate::support_enum`].
 
 use crate::bimatrix::BimatrixGame;
@@ -44,8 +46,8 @@ pub fn battle_of_the_sexes() -> BimatrixGame {
 /// equilibrium `p = q = (2/3, 1/3, 0)` — all on the `1/12` grid.
 ///
 /// The original instance from Khan et al. \[8] reports 6 target solutions;
-/// our stand-in has 3 (see DESIGN.md: the *coverage-relative* comparison
-/// of Fig. 9 is preserved).
+/// our stand-in has 3. Fig. 9 compares coverage relative to each game's
+/// own ground truth, so that comparison is preserved.
 pub fn bird_game() -> BimatrixGame {
     // M[i][j] = v_i if i != j else 0 ; N = M transposed structure.
     let v = [4.0, 2.0, 1.0];
@@ -73,7 +75,7 @@ pub fn bird_game() -> BimatrixGame {
 /// non-empty subset of defect variants), all on the `1/12` grid.
 ///
 /// The original instance reports 25 target solutions; ours has 15 with the
-/// same many-equilibria character (see DESIGN.md).
+/// same many-equilibria character.
 pub fn modified_prisoners_dilemma() -> BimatrixGame {
     let n_act = 8;
     let is_defect = |a: usize| a >= 4;
@@ -158,7 +160,8 @@ pub struct PaperBenchmark {
     /// SA iterations per run used in the paper for this instance.
     pub paper_iterations: usize,
     /// Number of distinct target solutions the *paper* reports for its
-    /// (unavailable) instance — ours may differ; see DESIGN.md.
+    /// (unavailable) instance — ours may differ (see [`bird_game`] and
+    /// [`modified_prisoners_dilemma`]).
     pub paper_target_solutions: usize,
 }
 

@@ -52,7 +52,6 @@ pub mod equilibrium;
 pub mod error;
 pub mod exact_enum;
 pub mod families;
-pub mod fictitious_play;
 pub mod game;
 pub mod games;
 pub mod generators;
@@ -61,8 +60,6 @@ pub mod library;
 pub mod linalg;
 pub mod matrix;
 pub mod profile;
-pub mod reduction;
-pub mod replicator;
 pub mod strategy;
 pub mod support_enum;
 

@@ -69,7 +69,6 @@ pub fn deadlock() -> BimatrixGame {
 mod tests {
     use super::*;
     use crate::equilibrium::StrategyKind;
-    use crate::reduction::eliminate_dominated;
     use crate::support_enum::{count_by_kind, enumerate_equilibria};
     use crate::MixedStrategy;
 
@@ -115,8 +114,6 @@ mod tests {
     #[test]
     fn public_goods_free_riding_dominates() {
         let g = public_goods_binary();
-        let r = eliminate_dominated(&g).unwrap();
-        assert_eq!(r.row_map, vec![1], "keep strictly dominates");
         let eqs = enumerate_equilibria(&g, 1e-9);
         assert_eq!(eqs.len(), 1);
         assert_eq!(eqs[0].row.pure_action(1e-6), Some(1));
@@ -137,8 +134,6 @@ mod tests {
     #[test]
     fn deadlock_is_dominance_solvable() {
         let g = deadlock();
-        let r = eliminate_dominated(&g).unwrap();
-        assert_eq!(r.game.row_actions(), 1);
         let eqs = enumerate_equilibria(&g, 1e-9);
         assert_eq!(eqs.len(), 1);
         assert_eq!(eqs[0].row.pure_action(1e-6), Some(1));

@@ -18,7 +18,7 @@
 //!   per-shard queues, idle shards steal, cancellation broadcasts on
 //!   shutdown;
 //! * [`reactor`] — the hand-rolled nonblocking readiness layer
-//!   (epoll on Linux, poll(2) elsewhere) plus a cross-thread waker;
+//!   (Linux epoll) plus a cross-thread waker;
 //! * [`framing`] — incremental line framing and the bounded
 //!   per-connection write queue with backpressure verdicts;
 //! * [`store`] — the persistent pre-solve store: an append-only,

@@ -1,8 +1,8 @@
 //! A hand-rolled nonblocking readiness layer: the dependency budget is
 //! "vendored crates only", so instead of mio/tokio this module speaks
-//! to the kernel directly — `epoll(7)` on Linux, `poll(2)` on the
-//! other unixes — through four `extern "C"` declarations resolved
-//! against the libc the standard library already links.
+//! to the kernel directly — `epoll(7)`, so Linux only — through four
+//! `extern "C"` declarations resolved against the libc the standard
+//! library already links.
 //!
 //! The surface is the minimal readiness API the server's event loop
 //! (and the `service_load` harness on the client side) needs:
@@ -20,8 +20,8 @@
 //! observes the failure directly, which keeps the loop's close logic
 //! in exactly one place.
 
-#[cfg(not(unix))]
-compile_error!("cnash-service's reactor needs a unix readiness API (epoll or poll)");
+#[cfg(not(target_os = "linux"))]
+compile_error!("cnash-service's reactor needs Linux epoll");
 
 use std::io::{self, Read, Write};
 use std::os::raw::c_int;
@@ -52,10 +52,9 @@ fn timeout_ms(timeout: Option<Duration>) -> c_int {
     }
 }
 
-#[cfg(target_os = "linux")]
 mod sys {
-    //! Linux backend: one `epoll` instance holds the interest set in
-    //! the kernel, so `wait` is O(ready), not O(registered).
+    //! One `epoll` instance holds the interest set in the kernel, so
+    //! `wait` is O(ready), not O(registered).
 
     use super::{timeout_ms, PollEvent};
     use std::io;
@@ -239,148 +238,6 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    //! Portable unix backend: the interest set lives in user space and
-    //! `wait` rebuilds a `pollfd` array per call — O(registered), fine
-    //! for the non-Linux development case this path serves.
-
-    use super::{timeout_ms, PollEvent};
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::os::raw::{c_int, c_short, c_uint};
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
-    }
-
-    /// Readiness multiplexer over `poll(2)`.
-    #[derive(Debug, Default)]
-    pub struct Poller {
-        interest: BTreeMap<RawFd, (u64, bool, bool)>,
-    }
-
-    impl Poller {
-        /// Creates an empty interest set.
-        ///
-        /// # Errors
-        ///
-        /// Never fails on this backend (the signature matches epoll's).
-        pub fn new() -> io::Result<Self> {
-            Ok(Self::default())
-        }
-
-        /// Adds `fd` to the interest set under `token`.
-        ///
-        /// # Errors
-        ///
-        /// `AlreadyExists` if the fd is already registered.
-        pub fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            if self.interest.contains_key(&fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd registered",
-                ));
-            }
-            self.interest.insert(fd, (token, readable, writable));
-            Ok(())
-        }
-
-        /// Replaces the interest of an already-registered `fd`.
-        ///
-        /// # Errors
-        ///
-        /// `NotFound` if the fd was never registered.
-        pub fn reregister(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            match self.interest.get_mut(&fd) {
-                Some(slot) => {
-                    *slot = (token, readable, writable);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        /// Removes `fd` from the interest set.
-        ///
-        /// # Errors
-        ///
-        /// `NotFound` if the fd was never registered.
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            match self.interest.remove(&fd) {
-                Some(_) => Ok(()),
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        /// Blocks until at least one registered fd is ready (or the
-        /// timeout elapses), filling `out` with the ready set.
-        ///
-        /// # Errors
-        ///
-        /// The `poll` errno; [`io::ErrorKind::Interrupted`] on `EINTR`.
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<PollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            out.clear();
-            let mut fds: Vec<PollFd> = self
-                .interest
-                .iter()
-                .map(|(&fd, &(_, readable, writable))| PollFd {
-                    fd,
-                    events: if readable { POLLIN } else { 0 } | if writable { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            // SAFETY: fds is a live slice for the duration of the call.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_uint, timeout_ms(timeout)) };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for pfd in &fds {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                let (token, _, _) = self.interest[&pfd.fd];
-                out.push(PollEvent {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                    writable: pfd.revents & (POLLOUT | POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
 pub use sys::Poller;
 
 /// A clonable handle that makes a blocked [`Poller::wait`] return.
@@ -451,8 +308,8 @@ pub fn waker_fd(rx: &UnixStream) -> RawFd {
 ///
 /// The `setsockopt` errno.
 pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-    const SOL_SOCKET: c_int = if cfg!(target_os = "linux") { 1 } else { 0xffff };
-    const SO_SNDBUF: c_int = if cfg!(target_os = "linux") { 7 } else { 0x1001 };
+    const SOL_SOCKET: c_int = 1;
+    const SO_SNDBUF: c_int = 7;
     extern "C" {
         fn setsockopt(
             fd: c_int,

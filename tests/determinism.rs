@@ -1,6 +1,6 @@
 //! Reproducibility: everything in the pipeline is seeded, so identical
-//! inputs must give identical outputs — the property that makes the
-//! EXPERIMENTS.md numbers reproducible on any machine.
+//! inputs must give identical outputs — the property that makes every
+//! reproduction binary's numbers reproducible on any machine.
 
 use cnash_core::baselines::DWaveNashSolver;
 use cnash_core::{CNashConfig, CNashSolver, ExperimentRunner, NashSolver};

@@ -1,6 +1,7 @@
 //! End-to-end integration: the full paper pipeline on every benchmark.
 
 use cnash_core::baselines::DWaveNashSolver;
+use cnash_core::certificate::Certificate;
 use cnash_core::{CNashConfig, CNashSolver, ExperimentRunner, NashSolver};
 use cnash_game::equilibrium::StrategyKind;
 use cnash_game::games;
@@ -155,5 +156,24 @@ fn mixed_only_game_separates_solvers() {
     let baseline = DWaveNashSolver::new(&game, DWaveModel::dwave_2000q(), 5).expect("builds");
     for seed in 0..10 {
         assert!(!baseline.run(seed).is_equilibrium);
+    }
+}
+
+/// Every solver answer can be certified, and the certificate agrees with
+/// the run's own verdict.
+#[test]
+fn certificates_match_solver_verdicts() {
+    let g = games::bird_game();
+    let solver =
+        CNashSolver::new(&g, CNashConfig::paper(12).with_iterations(4000), 1).expect("maps");
+    for seed in 0..10 {
+        let out = solver.run(seed);
+        let claimed = out.is_equilibrium;
+        let (p, q) = out.into_pair().expect("profile");
+        let cert = Certificate::build(&g, p, q, 1e-6).expect("builds");
+        assert_eq!(cert.is_valid(), claimed, "seed {seed}");
+        if cert.is_valid() {
+            assert!(cert.support_condition_holds());
+        }
     }
 }
