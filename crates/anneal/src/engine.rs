@@ -1,9 +1,11 @@
 //! Generic seeded Metropolis/simulated-annealing driver (Algorithm 1).
 //!
-//! The driver is generic over the state type and the (possibly
-//! hardware-in-the-loop) energy function; C-Nash instantiates it with
-//! [`crate::moves::GridStrategyPair`] states whose energy is the
-//! bi-crossbar + WTA evaluation of Eq. 9.
+//! The driver is generic over the state type and an energy closure that
+//! evaluates every proposal from scratch. `IdealSolver` runs on it, and
+//! it is the full-evaluation reference of the `perf` harness and the
+//! delta-vs-full equivalence tests. C-Nash runs do not use it: every
+//! `CNashSolver::run` anneals through
+//! [`crate::delta::simulated_annealing_delta`].
 
 use crate::schedule::Schedule;
 use rand::rngs::StdRng;

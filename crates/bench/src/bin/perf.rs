@@ -13,10 +13,9 @@
 //! * **QUBO**: `anneal` (`O(n)` row scan per proposal) vs
 //!   `anneal_incremental` (cached local fields, `O(1)` per proposal).
 //!
-//! Emits `BENCH_sa_hotpath.json` (schema documented in the README,
-//! written with `cnash-runtime`'s JSON writer so it parses with the same
-//! tooling as the runtime's report JSON). Exit status doubles as the CI
-//! regression gate:
+//! Writes `BENCH_sa_hotpath.json` in the shared BENCH schema
+//! (`cnash_bench::report`). Exit status doubles as the CI regression
+//! gate:
 //!
 //! * exit 2 — equivalence check failed (the delta path diverged from
 //!   full evaluation, a correctness bug),
@@ -27,51 +26,51 @@
 use cnash_anneal::delta::simulated_annealing_delta;
 use cnash_anneal::engine::{simulated_annealing, SaOptions};
 use cnash_anneal::moves::GridStrategyPair;
+use cnash_bench::client::fail;
+use cnash_bench::report::{Gate, Report};
 use cnash_bench::Cli;
-use cnash_core::report::render_table;
 use cnash_core::{CNashConfig, CNashSolver};
 use cnash_game::generators::random_integer_game;
 use cnash_qubo::annealer::{anneal, anneal_incremental, AnnealParams};
 use cnash_qubo::Qubo;
-use cnash_runtime::Json;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
 
-/// One measured grid point.
-struct Entry {
-    kind: &'static str,
-    label: String,
-    size: usize,
-    density: f64,
-    iterations: usize,
-    full_ns_per_iter: f64,
-    delta_ns_per_iter: f64,
+/// Records one grid point's full and delta timings; returns whether the
+/// two paths agreed bitwise.
+fn record_point(
+    report: &mut Report,
+    layer: &'static str,
+    case: &str,
+    full_ns: f64,
+    delta_ns: f64,
     equivalent: bool,
+    gate: Option<Gate>,
+) -> bool {
+    report.record(layer, case, "full_ns_per_iter", full_ns, "ns", None);
+    report.record(layer, case, "delta_ns_per_iter", delta_ns, "ns", None);
+    report.record(layer, case, "speedup", full_ns / delta_ns, "x", gate);
+    report.record(
+        layer,
+        case,
+        "equivalent",
+        f64::from(u8::from(equivalent)),
+        "bool",
+        None,
+    );
+    equivalent
 }
 
-impl Entry {
-    fn speedup(&self) -> f64 {
-        self.full_ns_per_iter / self.delta_ns_per_iter
-    }
-
-    fn json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::str(self.kind)),
-            ("label", Json::str(self.label.clone())),
-            ("size", Json::num(self.size as f64)),
-            ("density", Json::Num(self.density)),
-            ("iterations", Json::num(self.iterations as f64)),
-            ("full_ns_per_iter", Json::Num(self.full_ns_per_iter)),
-            ("delta_ns_per_iter", Json::Num(self.delta_ns_per_iter)),
-            ("speedup", Json::Num(self.speedup())),
-            ("equivalent", Json::Bool(self.equivalent)),
-        ])
-    }
-}
-
-/// Times the crossbar pipeline at one `n × n` game size.
-fn bench_crossbar(n: usize, max_payoff: u32, iterations: usize, seed: u64) -> Entry {
+/// Times the crossbar pipeline at one `n × n` game size; the 64×64
+/// point carries the speedup gate.
+fn bench_crossbar(
+    report: &mut Report,
+    n: usize,
+    max_payoff: u32,
+    iterations: usize,
+    seed: u64,
+) -> bool {
     let game = random_integer_game(n, n, max_payoff, seed).expect("valid grid point");
     let solver = CNashSolver::new(
         &game,
@@ -113,20 +112,19 @@ fn bench_crossbar(n: usize, max_payoff: u32, iterations: usize, seed: u64) -> En
         && solver.evaluate(&delta.best_state) == delta.best_energy;
     let _ = full.best_state;
 
-    Entry {
-        kind: "bicrossbar",
-        label: format!("bicrossbar-{n}x{n}-payoff{max_payoff}"),
-        size: n,
-        density: f64::from(max_payoff),
-        iterations,
-        full_ns_per_iter: full_ns,
-        delta_ns_per_iter: delta_ns,
+    record_point(
+        report,
+        "crossbar",
+        &format!("{n}x{n}-payoff{max_payoff}"),
+        full_ns,
+        delta_ns,
         equivalent,
-    }
+        (n == 64).then_some(Gate::AtLeast(1.0)),
+    )
 }
 
 /// Times the QUBO annealer at one variable count / coupling density.
-fn bench_qubo(vars: usize, density: f64, sweeps: usize, seed: u64) -> Entry {
+fn bench_qubo(report: &mut Report, vars: usize, density: f64, sweeps: usize, seed: u64) -> bool {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut qubo = Qubo::new(vars);
     for i in 0..vars {
@@ -152,25 +150,8 @@ fn bench_qubo(vars: usize, density: f64, sweeps: usize, seed: u64) -> Entry {
     // bitwise, not approximately.
     let equivalent = full == inc;
 
-    Entry {
-        kind: "qubo",
-        label: format!("qubo-{vars}v-density{density}"),
-        size: vars,
-        density,
-        iterations: proposals,
-        full_ns_per_iter: full_ns,
-        delta_ns_per_iter: delta_ns,
-        equivalent,
-    }
-}
-
-fn geomean(values: impl Iterator<Item = f64>) -> f64 {
-    let (sum, count) = values.fold((0.0, 0usize), |(s, c), v| (s + v.ln(), c + 1));
-    if count == 0 {
-        f64::NAN
-    } else {
-        (sum / count as f64).exp()
-    }
+    let case = format!("{vars}v-density{density}");
+    record_point(report, "qubo", &case, full_ns, delta_ns, equivalent, None)
 }
 
 /// `(actions per side, max payoff, SA iterations)` crossbar grid points.
@@ -209,92 +190,23 @@ fn main() {
         )
     };
 
-    let mut entries = Vec::new();
+    let mut report = Report::new(
+        "sa_hotpath",
+        "SA hot path: full re-evaluation vs incremental delta energy",
+        &cli,
+    );
+    let mut equivalent = true;
     for &(n, payoff, iters) in &crossbar_grid {
         eprintln!("measuring bicrossbar {n}x{n} (payoff scale {payoff}, {iters} iters)...");
-        entries.push(bench_crossbar(n, payoff, iters, seed));
+        equivalent &= bench_crossbar(&mut report, n, payoff, iters, seed);
     }
     for &(vars, density, sweeps) in &qubo_grid {
         eprintln!("measuring qubo {vars} vars (density {density}, {sweeps} sweeps)...");
-        entries.push(bench_qubo(vars, density, sweeps, seed));
+        equivalent &= bench_qubo(&mut report, vars, density, sweeps, seed);
     }
-
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.label.clone(),
-                format!("{:.0}", e.full_ns_per_iter),
-                format!("{:.0}", e.delta_ns_per_iter),
-                format!("{:.2}x", e.speedup()),
-                if e.equivalent { "yes" } else { "NO" }.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "SA hot path: full re-evaluation vs incremental delta energy",
-            &[
-                "case",
-                "full ns/iter",
-                "delta ns/iter",
-                "speedup",
-                "equivalent"
-            ],
-            &rows,
-        )
-    );
-
-    let gate = entries
-        .iter()
-        .find(|e| e.kind == "bicrossbar" && e.size == 64)
-        .map(Entry::speedup);
-    let summary = Json::obj([
-        (
-            "speedup_min",
-            Json::Num(
-                entries
-                    .iter()
-                    .map(Entry::speedup)
-                    .fold(f64::INFINITY, f64::min),
-            ),
-        ),
-        (
-            "speedup_geomean",
-            Json::Num(geomean(entries.iter().map(Entry::speedup))),
-        ),
-        ("speedup_64x64", gate.map(Json::Num).unwrap_or(Json::Null)),
-    ]);
-    let doc = Json::obj([
-        ("bench", Json::str("sa_hotpath")),
-        ("schema_version", Json::num(1.0)),
-        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
-        ("seed", Json::num(seed as f64)),
-        (
-            "entries",
-            Json::Arr(entries.iter().map(Entry::json).collect()),
-        ),
-        ("summary", summary),
-    ]);
-
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_sa_hotpath.json");
-    if let Err(e) = std::fs::write(out_path, doc.pretty()) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(2);
+    report.write();
+    if !equivalent {
+        fail("delta path diverged from full evaluation");
     }
-    println!("wrote {out_path}");
-
-    if entries.iter().any(|e| !e.equivalent) {
-        eprintln!("FAIL: delta path diverged from full evaluation");
-        std::process::exit(2);
-    }
-    match gate {
-        Some(s) if s < 1.0 => {
-            eprintln!("FAIL: 64x64 delta speedup {s:.2}x < 1.0x — hot-path regression");
-            std::process::exit(1);
-        }
-        Some(s) => println!("64x64 hot-path speedup: {s:.2}x (gate: >= 1.0x)"),
-        None => println!("note: no 64x64 crossbar point in this grid"),
-    }
+    report.enforce_gates();
 }

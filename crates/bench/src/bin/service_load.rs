@@ -20,8 +20,9 @@
 //! the measured numbers are connection-layer + scheduler + cache-hit
 //! execution — no programming passes.
 //!
-//! Emits `BENCH_service_load.json` with sustained req/s and
-//! p50/p90/p99/p999 latency. Exit status doubles as the CI gate:
+//! Writes `BENCH_service_load.json` (the shared BENCH schema,
+//! `cnash_bench::report`) with sustained req/s and p50/p90/p99/p999
+//! latency. Exit status doubles as the CI gate:
 //!
 //! * exit 2 — usage error, or the harness could not set up (daemon,
 //!   connect, warm-up),
@@ -30,9 +31,8 @@
 //! * exit 0 — every request answered; measurements recorded.
 
 use cnash_bench::client::{fail, solve_request, timed_solve, ServiceConn};
+use cnash_bench::report::{Gate, Report};
 use cnash_bench::{usage_lines, Cli};
-use cnash_core::report::render_table;
-use cnash_runtime::Json;
 use cnash_service::framing::{FramedLine, LineFramer};
 use cnash_service::reactor::{PollEvent, Poller};
 use cnash_service::{serve, ServiceConfig, ServiceHandle};
@@ -294,73 +294,41 @@ fn main() {
 
     let dropped = total_requests - completed;
     let snapshot = latency.snapshot();
-    let quantile_ms = |q: f64| snapshot.quantile(q) as f64 / 1e6;
     let req_per_s = completed as f64 / elapsed.as_secs_f64();
-    let rows = vec![vec![
-        format!("{conns}x{per_conn}"),
-        format!("{req_per_s:.0}"),
-        format!("{:.2}", quantile_ms(0.50)),
-        format!("{:.2}", quantile_ms(0.90)),
-        format!("{:.2}", quantile_ms(0.99)),
-        format!("{:.2}", quantile_ms(0.999)),
-        format!("{dropped}"),
-    ]];
-    println!(
-        "{}",
-        render_table(
-            "Service load: pipelined warm-cache solves across concurrent connections",
-            &[
-                "conns x reqs",
-                "req/s",
-                "p50 ms",
-                "p90 ms",
-                "p99 ms",
-                "p999 ms",
-                "dropped"
-            ],
-            &rows,
-        )
+    let mut report = Report::new(
+        "service_load",
+        "Service load: pipelined warm-cache solves across concurrent connections",
+        &cli,
     );
-
-    let doc = Json::obj([
-        ("bench", Json::str("service_load")),
-        ("schema_version", Json::num(1.0)),
-        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
-        ("seed", Json::num(cli.seed as f64)),
-        (
-            "config",
-            Json::obj([
-                ("conns", Json::num(conns as f64)),
-                ("per_conn", Json::num(per_conn as f64)),
-                ("total_requests", Json::num(total_requests as f64)),
-            ]),
-        ),
-        (
-            "summary",
-            Json::obj([
-                ("elapsed_s", Json::Num(elapsed.as_secs_f64())),
-                ("completed", Json::num(completed as f64)),
-                ("dropped", Json::num(dropped as f64)),
-                ("req_per_s", Json::Num(req_per_s)),
-                ("p50_ms", Json::Num(quantile_ms(0.50))),
-                ("p90_ms", Json::Num(quantile_ms(0.90))),
-                ("p99_ms", Json::Num(quantile_ms(0.99))),
-                ("p999_ms", Json::Num(quantile_ms(0.999))),
-            ]),
-        ),
-    ]);
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_service_load.json");
-    if let Err(e) = std::fs::write(out_path, doc.pretty()) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("wrote {out_path}");
-
-    if dropped > 0 {
-        eprintln!("FAIL: {dropped}/{total_requests} responses dropped");
-        std::process::exit(1);
-    }
-    println!(
-        "{total_requests} responses across {conns} connections in {:.1}s ({req_per_s:.0} req/s), 0 dropped",
-        elapsed.as_secs_f64()
+    let case = format!("{conns}x{per_conn}");
+    report.record(
+        "server",
+        &case,
+        "elapsed_s",
+        elapsed.as_secs_f64(),
+        "s",
+        None,
     );
+    report.record(
+        "server",
+        &case,
+        "completed",
+        completed as f64,
+        "count",
+        None,
+    );
+    report.record("server", &case, "req_per_s", req_per_s, "1/s", None);
+    for (metric, q) in [
+        ("p50_ms", 0.50),
+        ("p90_ms", 0.90),
+        ("p99_ms", 0.99),
+        ("p999_ms", 0.999),
+    ] {
+        let ms = snapshot.quantile(q) as f64 / 1e6;
+        report.record("server", &case, metric, ms, "ms", None);
+    }
+    let gate = Some(Gate::AtMost(0.0));
+    report.record("server", &case, "dropped", dropped as f64, "count", gate);
+    report.write();
+    report.enforce_gates();
 }

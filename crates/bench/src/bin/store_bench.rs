@@ -18,7 +18,8 @@
 //! harness uses (and removes) a throwaway log under the system temp
 //! directory; with `--store PATH` the log is yours and is kept.
 //!
-//! Emits `BENCH_store.json`. Exit status doubles as the CI gate:
+//! Writes `BENCH_store.json` in the shared BENCH schema
+//! (`cnash_bench::report`). Exit status doubles as the CI gate:
 //!
 //! * exit 2 — protocol error, a repeat or post-restart request missed
 //!   the store, or a disk payload diverged from the cold solve,
@@ -27,8 +28,8 @@
 //! * exit 0 — measurements recorded.
 
 use cnash_bench::client::{fail, normalise_response, solve_request, timed_solve, ServiceConn};
+use cnash_bench::report::{Gate, Report};
 use cnash_bench::Cli;
-use cnash_core::report::render_table;
 use cnash_runtime::Json;
 use cnash_service::{serve, ServiceConfig, ServiceHandle};
 
@@ -37,40 +38,6 @@ const GATE_SIZE: usize = 64;
 const GATE_SPEEDUP: f64 = 1.5;
 /// Disk-hit repeats per grid point (the minimum is reported).
 const HIT_REPEATS: usize = 5;
-
-struct Entry {
-    label: String,
-    size: usize,
-    iterations: usize,
-    cold_ms: f64,
-    disk_ms_min: f64,
-    disk_ms_mean: f64,
-    /// First-request latency against the restarted daemon (a warm-boot
-    /// disk hit).
-    warm_ms: f64,
-    /// The cold payload normalised modulo provenance — what every disk
-    /// hit must replay byte-identically.
-    normalised: String,
-}
-
-impl Entry {
-    fn speedup(&self) -> f64 {
-        self.cold_ms / self.disk_ms_min
-    }
-
-    fn json(&self) -> Json {
-        Json::obj([
-            ("label", Json::str(self.label.clone())),
-            ("size", Json::num(self.size as f64)),
-            ("iterations", Json::num(self.iterations as f64)),
-            ("cold_ms", Json::Num(self.cold_ms)),
-            ("disk_ms_min", Json::Num(self.disk_ms_min)),
-            ("disk_ms_mean", Json::Num(self.disk_ms_mean)),
-            ("warm_restart_ms", Json::Num(self.warm_ms)),
-            ("speedup", Json::Num(self.speedup())),
-        ])
-    }
-}
 
 /// One solve round trip; returns `(from_disk, wall_ms, normalised)`,
 /// where `normalised` drops the per-call provenance (`id`, `cache`,
@@ -118,8 +85,15 @@ fn main() {
     };
 
     // Daemon A: cold solves populate the store, repeats replay it.
+    let mut report = Report::new(
+        "store",
+        "Store latency: cold (program + solve + append) vs disk-hit replay",
+        &cli,
+    );
     let (handle, mut conn) = boot(&store_path);
-    let mut entries = Vec::new();
+    // `(size, request, normalised cold payload)` per grid point, for the
+    // restart pass.
+    let mut solved = Vec::new();
     let mut next_id = 0usize;
     for &(size, iterations) in &grid {
         eprintln!("measuring {size}x{size} ({iterations} iters, {HIT_REPEATS} disk repeats)...");
@@ -153,16 +127,13 @@ fn main() {
         }
         let disk_ms_min = hits.iter().copied().fold(f64::INFINITY, f64::min);
         let disk_ms_mean = hits.iter().sum::<f64>() / hits.len() as f64;
-        entries.push(Entry {
-            label: format!("store-{size}x{size}"),
-            size,
-            iterations,
-            cold_ms,
-            disk_ms_min,
-            disk_ms_mean,
-            warm_ms: f64::NAN,
-            normalised,
-        });
+        let case = format!("{size}x{size}");
+        let gate = (size == GATE_SIZE).then_some(Gate::AtLeast(GATE_SPEEDUP));
+        report.record("store", &case, "cold_ms", cold_ms, "ms", None);
+        report.record("store", &case, "disk_ms_min", disk_ms_min, "ms", None);
+        report.record("store", &case, "disk_ms_mean", disk_ms_mean, "ms", None);
+        report.record("store", &case, "speedup", cold_ms / disk_ms_min, "x", gate);
+        solved.push((size, request, normalised));
     }
     let _ = conn.round_trip(r#"{"op":"shutdown"}"#);
     handle.join();
@@ -171,30 +142,28 @@ fn main() {
     // point from disk on the very first request.
     let (handle, mut conn) = boot(&store_path);
     let warm_records = handle.store().map(|s| s.open_report().records).unwrap_or(0);
-    let mut next_id = 0usize;
-    for entry in &mut entries {
-        next_id += 1;
-        let request = solve_request(
-            next_id,
-            entry.size,
-            entry.iterations,
-            seed.wrapping_add(entry.size as u64),
-            &entry.label,
-        );
-        let (from_disk, wall, replay) = store_solve(&mut conn, &request);
+    report.record(
+        "store",
+        "restart",
+        "warm_boot_records",
+        warm_records as f64,
+        "count",
+        None,
+    );
+    for (size, request, normalised) in &solved {
+        let (from_disk, wall, replay) = store_solve(&mut conn, request);
         if !from_disk {
             fail(&format!(
-                "post-restart {0}x{0} request missed the store — warm boot lost the record",
-                entry.size
+                "post-restart {size}x{size} request missed the store — warm boot lost the record"
             ));
         }
-        if replay != entry.normalised {
+        if replay != *normalised {
             fail(&format!(
-                "post-restart {0}x{0} replay diverged from the cold solve",
-                entry.size
+                "post-restart {size}x{size} replay diverged from the cold solve"
             ));
         }
-        entry.warm_ms = wall;
+        let case = format!("{size}x{size}");
+        report.record("store", &case, "warm_restart_ms", wall, "ms", None);
     }
     let _ = conn.round_trip(r#"{"op":"shutdown"}"#);
     handle.join();
@@ -202,83 +171,6 @@ fn main() {
         let _ = std::fs::remove_file(&store_path);
     }
 
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.label.clone(),
-                format!("{:.2}", e.cold_ms),
-                format!("{:.3}", e.disk_ms_min),
-                format!("{:.3}", e.disk_ms_mean),
-                format!("{:.3}", e.warm_ms),
-                format!("{:.1}x", e.speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Store latency: cold (program + solve + append) vs disk-hit replay",
-            &[
-                "case",
-                "cold ms",
-                "disk ms (min)",
-                "disk ms (mean)",
-                "restart ms",
-                "speedup"
-            ],
-            &rows,
-        )
-    );
-
-    let gate = entries
-        .iter()
-        .find(|e| e.size == GATE_SIZE)
-        .map(Entry::speedup);
-    let doc = Json::obj([
-        ("bench", Json::str("store")),
-        ("schema_version", Json::num(1.0)),
-        ("mode", Json::str(if cli.quick { "quick" } else { "full" })),
-        ("seed", Json::num(seed as f64)),
-        ("warm_boot_records", Json::uint(warm_records)),
-        (
-            "entries",
-            Json::Arr(entries.iter().map(Entry::json).collect()),
-        ),
-        (
-            "summary",
-            Json::obj([
-                (
-                    "speedup_min",
-                    Json::Num(
-                        entries
-                            .iter()
-                            .map(Entry::speedup)
-                            .fold(f64::INFINITY, f64::min),
-                    ),
-                ),
-                ("speedup_64x64", gate.map(Json::Num).unwrap_or(Json::Null)),
-                ("gate_speedup", Json::Num(GATE_SPEEDUP)),
-            ]),
-        ),
-    ]);
-    let out_path = cli.out.as_deref().unwrap_or("BENCH_store.json");
-    if let Err(e) = std::fs::write(out_path, doc.pretty()) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("wrote {out_path}");
-
-    match gate {
-        Some(s) if s < GATE_SPEEDUP => {
-            eprintln!(
-                "FAIL: {GATE_SIZE}x{GATE_SIZE} disk-hit speedup {s:.2}x < {GATE_SPEEDUP}x — \
-                 the solution store no longer pays for itself"
-            );
-            std::process::exit(1);
-        }
-        Some(s) => {
-            println!("{GATE_SIZE}x{GATE_SIZE} disk-hit speedup: {s:.2}x (gate: >= {GATE_SPEEDUP}x)")
-        }
-        None => println!("note: no {GATE_SIZE}x{GATE_SIZE} point in this grid"),
-    }
+    report.write();
+    report.enforce_gates();
 }

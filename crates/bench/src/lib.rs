@@ -62,6 +62,7 @@
 
 pub mod client;
 pub mod diffcheck;
+pub mod report;
 
 use cnash_core::baselines::DWaveNashSolver;
 use cnash_core::{CNashConfig, CNashSolver, GameReport, NashSolver};

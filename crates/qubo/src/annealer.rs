@@ -1,14 +1,15 @@
 //! Single-flip simulated annealing over QUBOs.
 //!
-//! This is both (a) the classical core of the emulated D-Wave samplers
-//! (each "read" is modelled as a short thermal anneal, see
-//! [`crate::dwave`]) and (b) a general-purpose QUBO heuristic used in the
-//! ablation studies.
+//! [`anneal_incremental`] is the classical core of the emulated D-Wave
+//! samplers (each "read" is modelled as a short thermal anneal, see
+//! [`crate::dwave`]).
 //!
-//! Two evaluation paths share the same Metropolis loop:
+//! Two copies of the same Metropolis loop differ only in how they
+//! evaluate a proposed flip:
 //!
 //! * [`anneal`] recomputes the flip delta with an `O(n)` row scan per
-//!   proposal ([`Qubo::flip_delta`]) — the full-evaluation reference;
+//!   proposal ([`Qubo::flip_delta`]) — the full-evaluation reference
+//!   that `perf` and the property tests compare against;
 //! * [`anneal_incremental`] caches the **local field** of every variable
 //!   (`hₖ = lₖ + Σ_j Q_{kj} xⱼ`) in a [`LocalFields`] table: a proposal
 //!   reads one cached entry (`O(1)`) and only *accepted* flips pay the
