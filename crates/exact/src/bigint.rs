@@ -1,11 +1,13 @@
 //! Sign-magnitude arbitrary-precision integers on `u32` limbs.
 //!
-//! Schoolbook arithmetic throughout: the operands this workspace
-//! produces (determinants of ≤ 16×16 integer indifference systems,
-//! simplex tableau entries over small-payoff games) stay within a few
-//! hundred bits, where the simple algorithms are both fast enough and
-//! easy to audit. Division is binary long division (quadratic in the
-//! bit length), gcd is Euclid on magnitudes.
+//! This is the overflow fallback of [`Rat`](crate::Rat): a rational
+//! lives inline as an `i64` fraction and reaches these integers only
+//! when a reduced term outgrows `i64` (exact regrets of `f64`
+//! profiles, payoffs with large dyadic denominators). Schoolbook
+//! arithmetic throughout: such operands stay within a few hundred
+//! bits, where the simple algorithms are both fast enough and easy to
+//! audit. Division is binary long division (quadratic in the bit
+//! length), gcd is Euclid on magnitudes.
 //!
 //! Invariants: limbs are little-endian with no high zero limb, and
 //! zero is the empty limb vector with `neg == false` — so structural
@@ -276,6 +278,28 @@ impl BigInt {
             -scaled
         } else {
             scaled
+        }
+    }
+
+    /// The magnitude as `u128` if it fits.
+    pub(crate) fn to_u128_mag(&self) -> Option<u128> {
+        if self.mag.len() > 4 {
+            return None;
+        }
+        Some(
+            self.mag
+                .iter()
+                .enumerate()
+                .fold(0u128, |v, (i, &limb)| v | (limb as u128) << (32 * i)),
+        )
+    }
+
+    /// The integer with sign `neg` and magnitude `mag`.
+    pub(crate) fn from_u128_mag(neg: bool, mag: u128) -> Self {
+        let mag = norm((0..4).map(|i| (mag >> (32 * i)) as u32).collect());
+        Self {
+            neg: neg && !mag.is_empty(),
+            mag,
         }
     }
 

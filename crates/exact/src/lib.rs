@@ -8,18 +8,23 @@
 //!
 //! Three layers, each textbook-simple on purpose:
 //!
-//! * [`BigInt`] — sign-magnitude arbitrary-precision integers on
-//!   `u32` limbs (`u64` intermediates), with schoolbook arithmetic,
-//!   long division and Euclidean gcd;
-//! * [`Rat`] — normalized big-int fractions (`den > 0`,
-//!   `gcd(num, den) = 1`) forming an ordered field, with exact
-//!   conversion from any finite `f64` (every finite float *is* a
-//!   dyadic rational) and round-trippable decimal parsing/printing;
+//! * [`Rat`] — normalized fractions (`den > 0`, `gcd(num, den) = 1`)
+//!   forming an ordered field, with exact conversion from any finite
+//!   `f64` (every finite float *is* a dyadic rational) and
+//!   round-trippable decimal parsing/printing. A `Rat` is an inline
+//!   `i64` fraction, computed in `i128` with no allocation, and is
+//!   promoted to a pair of [`BigInt`]s only when a reduced term
+//!   outgrows `i64`;
+//! * [`BigInt`] — the overflow fallback: sign-magnitude
+//!   arbitrary-precision integers on `u32` limbs (`u64`
+//!   intermediates), with schoolbook arithmetic, long division and
+//!   Euclidean gcd;
 //! * [`simplex`] — a two-phase primal simplex over [`Rat`] using
 //!   Bland's rule (no cycling, hence guaranteed termination), exposing
 //!   LP feasibility and a basic-feasible-solution **vertex** of the
 //!   feasible region, plus [`linalg`] — exact Gaussian elimination
-//!   with rank detection for square systems.
+//!   with rank detection for square systems, over [`Rat`] and
+//!   fraction-free (Bareiss) over integers in checked `i128`.
 //!
 //! The intended consumer is exact support enumeration
 //! (`cnash_game::exact_enum`): indifference systems that are singular

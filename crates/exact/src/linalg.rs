@@ -1,4 +1,5 @@
-//! Exact Gaussian elimination over [`Rat`].
+//! Exact Gaussian elimination: over [`Rat`], and fraction-free over
+//! integers.
 
 use crate::rat::Rat;
 
@@ -59,6 +60,79 @@ pub fn solve(a: &[Vec<Rat>], b: &[Rat]) -> LinSolve {
     LinSolve::Unique(m.into_iter().map(|row| row[n].clone()).collect())
 }
 
+/// Solves the square integer system `a · x = b` by fraction-free
+/// (Bareiss 1968) elimination in checked `i128` arithmetic.
+///
+/// Every intermediate entry is a minor of `[a | b]`, so each
+/// elimination step's division is exact and nothing is ever reduced
+/// by a gcd; back substitution stays integral by solving for
+/// `det · x` instead of `x`, and the only division that leaves the
+/// integers is the caller's final `numers[i] / det`.
+///
+/// Returns `Some((numers, det))` with `det` the determinant of `a`:
+/// `det == 0` (and `numers` empty) iff `a` is exactly singular —
+/// [`solve`] would return [`LinSolve::Singular`] — and otherwise the
+/// unique solution is `x_i = numers[i] / det` (Cramer's rule, so
+/// `numers[i]` is the determinant of `a` with column `i` replaced by
+/// `b`). Returns `None` if an intermediate value overflows `i128`;
+/// the caller then falls back to [`solve`].
+///
+/// # Panics
+///
+/// Panics if `a` is not square or `b` has the wrong length.
+pub fn solve_integer(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i128>, i128)> {
+    let n = a.len();
+    assert!(a.iter().all(|row| row.len() == n), "matrix must be square");
+    assert_eq!(b.len(), n, "rhs length must match");
+    let mut m: Vec<Vec<i128>> = a
+        .iter()
+        .zip(b)
+        .map(|(row, &rhs)| row.iter().chain([&rhs]).map(|&v| v.into()).collect())
+        .collect();
+    // Forward elimination: after step k, row i > k holds minors of
+    // order k + 1, and `prev` (the last pivot) divides every update.
+    let mut prev: i128 = 1;
+    let mut swaps_odd = false;
+    for k in 0..n {
+        let Some(pivot) = (k..n).find(|&r| m[r][k] != 0) else {
+            return Some((Vec::new(), 0));
+        };
+        if pivot != k {
+            m.swap(k, pivot);
+            swaps_odd = !swaps_odd;
+        }
+        for i in k + 1..n {
+            for j in k + 1..=n {
+                let v = m[i][j]
+                    .checked_mul(m[k][k])?
+                    .checked_sub(m[i][k].checked_mul(m[k][j])?)?;
+                debug_assert_eq!(v % prev, 0, "Bareiss division is exact");
+                m[i][j] = v / prev;
+            }
+            m[i][k] = 0;
+        }
+        prev = m[k][k];
+    }
+    // The last pivot is the determinant of the row-permuted matrix.
+    // Back substitution for y = pivot · x, integral by Cramer's rule.
+    let pivot = prev;
+    let mut y = vec![0i128; n];
+    for i in (0..n).rev() {
+        let mut acc = pivot.checked_mul(m[i][n])?;
+        for j in i + 1..n {
+            acc = acc.checked_sub(m[i][j].checked_mul(y[j])?)?;
+        }
+        debug_assert_eq!(acc % m[i][i], 0, "back substitution is exact");
+        y[i] = acc / m[i][i];
+    }
+    if swaps_odd {
+        let y = y.iter().map(|v| v.checked_neg()).collect::<Option<_>>()?;
+        Some((y, pivot.checked_neg()?))
+    } else {
+        Some((y, pivot))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,5 +181,29 @@ mod tests {
     #[test]
     fn empty_system_is_unique() {
         assert_eq!(solve(&[], &[]), LinSolve::Unique(vec![]));
+        assert_eq!(solve_integer(&[], &[]), Some((vec![], 1)));
+    }
+
+    #[test]
+    fn integer_solve_returns_cramer_numerators() {
+        // 2x + y = 5, x - y = 1: det = -3, x = -6/-3, y = -3/-3.
+        let a = vec![vec![2, 1], vec![1, -1]];
+        assert_eq!(solve_integer(&a, &[5, 1]), Some((vec![-6, -3], -3)));
+        // A leading zero forces a row swap, which flips the pivot's sign.
+        let a = vec![vec![0, 1], vec![1, 0]];
+        assert_eq!(solve_integer(&a, &[2, 3]), Some((vec![-3, -2], -1)));
+    }
+
+    #[test]
+    fn integer_solve_detects_singularity_and_overflow() {
+        let a = vec![vec![1, 2], vec![2, 4]];
+        assert_eq!(solve_integer(&a, &[1, 3]), Some((vec![], 0)));
+        let big = i64::MAX;
+        let a = vec![
+            vec![big, -big, big],
+            vec![big, big, -big],
+            vec![-big, big, big],
+        ];
+        assert_eq!(solve_integer(&a, &[big, big, big]), None);
     }
 }

@@ -3,11 +3,15 @@
 //! This is the third, independent equilibrium oracle of the harness.
 //! It walks the same equal-size support pairs as
 //! [`support_enum::enumerate_equilibria`](crate::support_enum::enumerate_equilibria)
-//! but computes over [`Rat`] (exact big-int rationals from
-//! `cnash-exact`), so it has **no tolerances anywhere**:
+//! but computes exactly — over [`Rat`] (rationals from `cnash-exact`,
+//! inline `i64` fractions promoted to big integers on overflow) and,
+//! for integer payoffs, over integers — so it has **no tolerances
+//! anywhere**:
 //!
 //! * the indifference system of a support pair is solved by exact
-//!   Gaussian elimination, and "singular" means *exactly* singular —
+//!   elimination — fraction-free (Bareiss) in checked `i128` when
+//!   every payoff is an integer, `Rat` Gauss–Jordan on overflow or
+//!   fractional payoffs — and "singular" means *exactly* singular —
 //!   the rank test `f64` elimination cannot perform;
 //! * a singular-but-consistent system describes a **continuum** of
 //!   equilibria; instead of giving up (which is what the float
@@ -29,8 +33,9 @@ use crate::equilibrium::Equilibrium;
 use crate::error::GameError;
 use crate::strategy::MixedStrategy;
 use crate::support_enum::{subsets_of_size, MAX_ENUM_ACTIONS};
-use cnash_exact::linalg::{solve as exact_solve, LinSolve};
+use cnash_exact::linalg::{solve as exact_solve, solve_integer, LinSolve};
 use cnash_exact::{feasible_point, Constraint, Rat};
+use std::ops::Sub;
 
 /// An exactly-certified Nash equilibrium.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,15 +104,17 @@ pub fn enumerate_exact(game: &BimatrixGame) -> Vec<ExactEquilibrium> {
     let bt: Vec<Vec<Rat>> = (0..m)
         .map(|j| (0..n).map(|i| exact(game.col_payoffs()[(i, j)])).collect())
         .collect();
+    let a_int = integer_table(n, m, |i, j| game.row_payoffs()[(i, j)]);
+    let bt_int = integer_table(m, n, |j, i| game.col_payoffs()[(i, j)]);
 
     let mut found: Vec<ExactEquilibrium> = Vec::new();
     for k in 1..=n.min(m) {
         for s in subsets_of_size(n, k) {
             for t in subsets_of_size(m, k) {
-                let Some((q, q_sing)) = solve_side(&a, &s, &t, m) else {
+                let Some((q, q_sing)) = solve_side(&a, a_int.as_deref(), &s, &t, m) else {
                     continue;
                 };
-                let Some((p, p_sing)) = solve_side(&bt, &t, &s, n) else {
+                let Some((p, p_sing)) = solve_side(&bt, bt_int.as_deref(), &t, &s, n) else {
                     continue;
                 };
                 let eq = ExactEquilibrium {
@@ -222,6 +229,133 @@ fn exact(x: f64) -> Rat {
     Rat::from_f64(x).expect("validated games have finite payoffs")
 }
 
+/// The payoff table `(i, j) ↦ payoff(i, j)` as integers, if every
+/// entry is one (as the structured families guarantee) of magnitude
+/// below `2^62`, so that payoff differences fit `i64`.
+fn integer_table(
+    rows: usize,
+    cols: usize,
+    payoff: impl Fn(usize, usize) -> f64,
+) -> Option<Vec<Vec<i64>>> {
+    const LIMIT: f64 = (1u64 << 62) as f64;
+    (0..rows)
+        .map(|i| {
+            (0..cols)
+                .map(|j| {
+                    let x = payoff(i, j);
+                    (x.fract() == 0.0 && x.abs() < LIMIT).then_some(x as i64)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Outcome of deciding one side of a support pair in integers.
+enum IntSide {
+    /// The unique solution, feasible and un-beaten.
+    Accept(Vec<Rat>),
+    /// The unique solution is negative somewhere or beaten off-support.
+    Reject,
+    /// The indifference system is exactly singular.
+    Singular,
+    /// An intermediate left `i128`: decide over [`Rat`] instead.
+    Overflow,
+}
+
+/// Coefficient rows of the indifference system over unknowns `x_j`,
+/// `j ∈ t`: `(A x)_{s[0]} − (A x)_{s[r]} = 0` for `r = 1..k`, then the
+/// normalization `Σ x = 1`; and its right-hand side.
+fn indifference_system<T: Clone>(
+    a: &[Vec<T>],
+    s: &[usize],
+    t: &[usize],
+    zero: T,
+    one: T,
+) -> (Vec<Vec<T>>, Vec<T>)
+where
+    for<'x> &'x T: Sub<Output = T>,
+{
+    let k = s.len();
+    let mut rows: Vec<Vec<T>> = (1..k)
+        .map(|r| t.iter().map(|&j| &a[s[0]][j] - &a[s[r]][j]).collect())
+        .collect();
+    rows.push(vec![one.clone(); k]);
+    let mut rhs = vec![zero; k - 1];
+    rhs.push(one);
+    (rows, rhs)
+}
+
+/// Off-support best-response rows, linear in `x`:
+/// `(A x)_i ≤ (A x)_{s[0]}  ⇔  Σ_j (a[i][j] − a[s0][j]) x_j ≤ 0`.
+fn off_support_rows<'a, T>(
+    a: &'a [Vec<T>],
+    s: &'a [usize],
+    t: &'a [usize],
+) -> impl Iterator<Item = Vec<T>> + 'a
+where
+    for<'x> &'x T: Sub<Output = T>,
+{
+    (0..a.len())
+        .filter(|i| !s.contains(i))
+        .map(move |i| t.iter().map(|&j| &a[i][j] - &a[s[0]][j]).collect())
+}
+
+/// Decides one side of a support pair in integer arithmetic: the
+/// indifference system goes through the fraction-free solve, and the
+/// `x ≥ 0` and off-support slack checks become sign tests on the
+/// Cramer numerators. `Rat`s are built only for an accepted solution.
+fn solve_side_integer(a: &[Vec<i64>], s: &[usize], t: &[usize]) -> IntSide {
+    let (rows, rhs) = indifference_system(a, s, t, 0, 1);
+    let Some((numers, det)) = solve_integer(&rows, &rhs) else {
+        return IntSide::Overflow;
+    };
+    if det == 0 {
+        return IntSide::Singular;
+    }
+    // `x = numers / det`, so a coordinate or a slack is positive iff
+    // its numerator has the sign of `det`.
+    let positive = det.signum();
+    if numers.iter().any(|v| v.signum() == -positive) {
+        return IntSide::Reject;
+    }
+    for row in off_support_rows(a, s, t) {
+        let slack = row.iter().zip(&numers).try_fold(0i128, |acc, (&c, &y)| {
+            acc.checked_add(i128::from(c).checked_mul(y)?)
+        });
+        match slack {
+            None => return IntSide::Overflow,
+            Some(v) if v.signum() == positive => return IntSide::Reject,
+            Some(_) => {}
+        }
+    }
+    let Ok(det) = i64::try_from(det) else {
+        return IntSide::Overflow;
+    };
+    match numers
+        .iter()
+        .map(|&y| i64::try_from(y).ok().map(|y| Rat::from_ratio(y, det)))
+        .collect()
+    {
+        Some(sol) => IntSide::Accept(sol),
+        None => IntSide::Overflow,
+    }
+}
+
+/// The support pair as an exact linear program — indifference
+/// equalities, normalization, off-support inequalities, `x ≥ 0`
+/// implicit — decided by the exact simplex, which returns a vertex
+/// of the feasible face as its representative.
+fn simplex_side(a: &[Vec<Rat>], s: &[usize], t: &[usize]) -> Option<Vec<Rat>> {
+    let (rows, rhs) = indifference_system(a, s, t, Rat::zero(), Rat::one());
+    let mut cs: Vec<Constraint> = rows
+        .into_iter()
+        .zip(rhs)
+        .map(|(row, b)| Constraint::eq(row, b))
+        .collect();
+    cs.extend(off_support_rows(a, s, t).map(|row| Constraint::le(row, Rat::zero())));
+    feasible_point(s.len(), &cs)
+}
+
 /// Solves one side of a support pair exactly: find the *opponent*
 /// mixture (full length `opp_len`, support `t`) that makes the focal
 /// player exactly indifferent across their support `s`, exactly
@@ -229,71 +363,43 @@ fn exact(x: f64) -> Rat {
 /// the mixture and whether the indifference system was singular.
 ///
 /// `a` is the focal player's payoff table, focal actions indexing the
-/// outer `Vec`.
+/// outer `Vec`; `a_int` is the same table in integers when every
+/// payoff is one, which decides unique systems without fractions.
+/// Both paths are exact, so they return the same answer.
 fn solve_side(
     a: &[Vec<Rat>],
+    a_int: Option<&[Vec<i64>]>,
     s: &[usize],
     t: &[usize],
     opp_len: usize,
 ) -> Option<(Vec<Rat>, bool)> {
-    let k = s.len();
-    debug_assert_eq!(k, t.len());
-
-    // Indifference rows: (A x)_{s[0]} − (A x)_{s[r]} = 0 for r = 1..k,
-    // plus the normalization Σ x = 1, over unknowns x_j, j ∈ t.
-    let mut rows: Vec<Vec<Rat>> = Vec::with_capacity(k);
-    for r in 1..k {
-        rows.push(
-            t.iter()
-                .map(|&j| &a[s[0]][j] - &a[s[r]][j])
-                .collect::<Vec<_>>(),
-        );
-    }
-    rows.push(vec![Rat::one(); k]);
-    let mut rhs = vec![Rat::zero(); k - 1];
-    rhs.push(Rat::one());
-
-    // Off-support best-response rows, linear in x:
-    // (A x)_i ≤ (A x)_{s[0]}  ⇔  Σ_j (a[i][j] − a[s0][j]) x_j ≤ 0.
-    let off_rows = || {
-        (0..a.len()).filter(|i| !s.contains(i)).map(|i| {
-            t.iter()
-                .map(|&j| &a[i][j] - &a[s[0]][j])
-                .collect::<Vec<_>>()
-        })
-    };
-
-    let (sol, singular) = match exact_solve(&rows, &rhs) {
-        LinSolve::Unique(sol) => {
-            // Exact feasibility and best-response checks.
-            if sol.iter().any(Rat::is_negative) {
-                return None;
-            }
-            let zero = Rat::zero();
-            for row in off_rows() {
-                let slack = row
-                    .iter()
-                    .zip(&sol)
-                    .fold(Rat::zero(), |acc, (c, x)| &acc + &(c * x));
-                if slack > zero {
-                    return None;
+    debug_assert_eq!(s.len(), t.len());
+    let (sol, singular) = match a_int.map(|ai| solve_side_integer(ai, s, t)) {
+        Some(IntSide::Accept(sol)) => (sol, false),
+        Some(IntSide::Reject) => return None,
+        Some(IntSide::Singular) => (simplex_side(a, s, t)?, true),
+        Some(IntSide::Overflow) | None => {
+            let (rows, rhs) = indifference_system(a, s, t, Rat::zero(), Rat::one());
+            match exact_solve(&rows, &rhs) {
+                LinSolve::Unique(sol) => {
+                    // Exact feasibility and best-response checks.
+                    if sol.iter().any(Rat::is_negative) {
+                        return None;
+                    }
+                    for row in off_support_rows(a, s, t) {
+                        let slack = row
+                            .iter()
+                            .zip(&sol)
+                            .fold(Rat::zero(), |acc, (c, x)| &acc + &(c * x));
+                        if slack.is_positive() {
+                            return None;
+                        }
+                    }
+                    (sol, false)
                 }
+                // The support pair describes a continuum (or nothing).
+                LinSolve::Singular => (simplex_side(a, s, t)?, true),
             }
-            (sol, false)
-        }
-        LinSolve::Singular => {
-            // The support pair describes a continuum (or nothing).
-            // Assemble the full linear system — indifference equalities,
-            // normalization, off-support inequalities, x ≥ 0 implicit —
-            // and let the exact simplex decide feasibility, returning a
-            // vertex of the face as its representative.
-            let mut cs: Vec<Constraint> = rows
-                .iter()
-                .zip(&rhs)
-                .map(|(row, b)| Constraint::eq(row.clone(), b.clone()))
-                .collect();
-            cs.extend(off_rows().map(|row| Constraint::le(row, Rat::zero())));
-            (feasible_point(k, &cs)?, true)
         }
     };
 
@@ -423,6 +529,32 @@ mod tests {
             singular: false,
         };
         assert!(!verify_exact(&g, &unnormalized));
+    }
+
+    #[test]
+    fn rational_fallback_agrees_with_integer_path() {
+        // An affine payoff map with positive slope moves no
+        // equilibrium. Scaling by 2^40 keeps the payoffs integral but
+        // overflows the fraction-free solve on 3×3 supports; a
+        // fractional map takes every system through `Rat`.
+        let affine = |g: &BimatrixGame, f: &dyn Fn(f64) -> f64| {
+            let name = format!("{}-mapped", g.name());
+            BimatrixGame::new(name, g.row_payoffs().map(f), g.col_payoffs().map(f)).unwrap()
+        };
+        for family in crate::families::Family::ALL {
+            for size in 2..=4 {
+                for seed in 0..2 {
+                    let g = family
+                        .build(size, family.default_scale(), family.default_knob(), seed)
+                        .unwrap();
+                    let want = enumerate_exact(&g);
+                    let scaled = affine(&g, &|x| x * (1u64 << 40) as f64);
+                    let shifted = affine(&g, &|x| x / 4.0 + 0.5);
+                    assert_eq!(enumerate_exact(&scaled), want, "{}", g.name());
+                    assert_eq!(enumerate_exact(&shifted), want, "{}", g.name());
+                }
+            }
+        }
     }
 
     #[test]

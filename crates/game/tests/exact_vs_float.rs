@@ -41,7 +41,7 @@ proptest! {
     #[test]
     fn exact_enumeration_explains_float_enumeration(
         family_idx in 0usize..Family::ALL.len(),
-        size in 2usize..5,
+        size in 2usize..7,
         seed in 0u64..5,
     ) {
         let family = Family::ALL[family_idx];
