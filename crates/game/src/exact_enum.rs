@@ -109,12 +109,13 @@ pub fn enumerate_exact(game: &BimatrixGame) -> Vec<ExactEquilibrium> {
 
     let mut found: Vec<ExactEquilibrium> = Vec::new();
     for k in 1..=n.min(m) {
+        let col_supports = subsets_of_size(m, k);
         for s in subsets_of_size(n, k) {
-            for t in subsets_of_size(m, k) {
-                let Some((q, q_sing)) = solve_side(&a, a_int.as_deref(), &s, &t, m) else {
+            for t in &col_supports {
+                let Some((q, q_sing)) = solve_side(&a, a_int.as_deref(), &s, t, m) else {
                     continue;
                 };
-                let Some((p, p_sing)) = solve_side(&bt, bt_int.as_deref(), &t, &s, n) else {
+                let Some((p, p_sing)) = solve_side(&bt, bt_int.as_deref(), t, &s, n) else {
                     continue;
                 };
                 let eq = ExactEquilibrium {

@@ -8,6 +8,26 @@
 //! two tableaux (one per player) with floating-point arithmetic and a
 //! minimum-ratio test; it assumes a nondegenerate game and bails out with
 //! [`GameError::SingularSystem`] if pivoting cycles.
+//!
+//! Degenerate games do cycle under a plain minimum-ratio rule (von
+//! Stengel 2002, *Handbook of Game Theory* vol. 3, ch. 45). A cycle is
+//! caught in one of two ways:
+//!
+//! * **An exact repeat.** The pivot state — both tableaux bit for bit,
+//!   both bases, and the next entering label — is checkpointed at pivot
+//!   counts that are powers of two (Brent 1980, *BIT* 20). When the state
+//!   after a pivot equals the checkpoint, the run stops at once with
+//!   [`GameError::SingularSystem`]. This returns exactly what running on
+//!   to `MAX_PIVOTS` would: a pivot is a pure function of that state, so
+//!   from a repeated state the run retraces the same period forever. No
+//!   pivot of that period left with the dropped label or failed its ratio
+//!   test, so none ever will, and the run would end in the same error.
+//! * **The pivot bound.** Runs whose basis cycles while the tableau
+//!   values keep drifting in their last bits never repeat exactly; they
+//!   still run to `MAX_PIVOTS`.
+//!
+//! There is no anti-cycling rule: a lexicographic rule would let more
+//! labels succeed and change which equilibria are found.
 
 use crate::bimatrix::BimatrixGame;
 use crate::equilibrium::Equilibrium;
@@ -15,6 +35,11 @@ use crate::error::GameError;
 use crate::strategy::MixedStrategy;
 
 /// Maximum pivot steps before declaring a cycle (degenerate game).
+///
+/// A run that revisits a bit-identical pivot state stops sooner, with the
+/// same [`GameError::SingularSystem`] this bound would give it (see the
+/// module docs); the bound is reached only by runs that cycle while their
+/// values drift and so never repeat exactly.
 const MAX_PIVOTS: usize = 10_000;
 
 /// A pivoting tableau representing `basic = rhs − coeffs · nonbasic`.
@@ -24,8 +49,11 @@ const MAX_PIVOTS: usize = 10_000;
 /// row `r`.
 #[derive(Debug, Clone)]
 struct Tableau {
-    /// `rows x (labels + 1)` coefficients; last column is the RHS.
-    t: Vec<Vec<f64>>,
+    /// Row-major `rows x width` coefficients; the last column of each row
+    /// is the RHS.
+    t: Vec<f64>,
+    /// Entries per row: the `n + m` label columns plus the RHS.
+    width: usize,
     basis: Vec<usize>,
 }
 
@@ -33,13 +61,14 @@ impl Tableau {
     /// Pivots the variable with label `entering` into the basis.
     /// Returns the label that leaves, or `None` if unbounded/singular.
     fn pivot(&mut self, entering: usize) -> Option<usize> {
+        let w = self.width;
         // Minimum ratio test over rows with positive entering coefficient.
         let mut best_row = None;
         let mut best_ratio = f64::INFINITY;
-        for (r, row) in self.t.iter().enumerate() {
+        for (r, row) in self.t.chunks_exact(w).enumerate() {
             let coef = row[entering];
             if coef > 1e-12 {
-                let rhs = *row.last().expect("rhs column");
+                let rhs = row[w - 1];
                 let ratio = rhs / coef;
                 if ratio < best_ratio - 1e-12
                     || (ratio < best_ratio + 1e-12
@@ -52,21 +81,20 @@ impl Tableau {
         }
         let r = best_row?;
         let leaving = self.basis[r];
-        let pivot = self.t[r][entering];
 
+        let (above, rest) = self.t.split_at_mut(r * w);
+        let (pivot_row, below) = rest.split_at_mut(w);
         // Normalise the pivot row.
-        for x in &mut self.t[r] {
+        let pivot = pivot_row[entering];
+        for x in pivot_row.iter_mut() {
             *x /= pivot;
         }
         // Eliminate the entering column from all other rows.
-        for rr in 0..self.t.len() {
-            if rr == r {
-                continue;
-            }
-            let factor = self.t[rr][entering];
+        for row in above.chunks_exact_mut(w).chain(below.chunks_exact_mut(w)) {
+            let factor = row[entering];
             if factor != 0.0 {
-                for c in 0..self.t[rr].len() {
-                    self.t[rr][c] -= factor * self.t[r][c];
+                for (x, p) in row.iter_mut().zip(pivot_row.iter()) {
+                    *x -= factor * p;
                 }
             }
         }
@@ -79,8 +107,18 @@ impl Tableau {
         self.basis
             .iter()
             .position(|&b| b == label)
-            .map(|r| *self.t[r].last().expect("rhs column"))
+            .map(|r| self.t[(r + 1) * self.width - 1])
             .unwrap_or(0.0)
+    }
+
+    /// Whether `other` holds the same basis and bit-identical entries.
+    fn same_state(&self, other: &Tableau) -> bool {
+        self.basis == other.basis
+            && self
+                .t
+                .iter()
+                .zip(&other.t)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 }
 
@@ -114,74 +152,111 @@ pub fn lemke_howson(game: &BimatrixGame, label: usize) -> Result<Equilibrium, Ga
         )));
     }
 
+    let mut tabs = tableaux(game);
+    pivot_path(&mut tabs, n, label).map_err(|_| GameError::SingularSystem)?;
+
+    // Complementarity restored: extract the equilibrium.
+    let x: Vec<f64> = (0..n).map(|i| tabs[1].value(i)).collect();
+    let y: Vec<f64> = (0..m).map(|j| tabs[0].value(n + j)).collect();
+    let norm = |v: Vec<f64>| -> Result<MixedStrategy, GameError> {
+        let s: f64 = v.iter().sum();
+        if s <= 0.0 {
+            return Err(GameError::SingularSystem);
+        }
+        MixedStrategy::new(v.into_iter().map(|x| (x / s).max(0.0)).collect())
+    };
+    let p = norm(x)?;
+    let q = norm(y)?;
+    Ok(Equilibrium::from_profile(game, p, q))
+}
+
+/// The row and column tableaux at the artificial equilibrium.
+fn tableaux(game: &BimatrixGame) -> [Tableau; 2] {
+    let n = game.row_actions();
+    let m = game.col_actions();
+
     // Shift payoffs strictly positive (invariant under LH).
     let shift = 1.0 - game.row_payoffs().min().min(game.col_payoffs().min());
     let a = game.row_payoffs().map(|x| x + shift); // n x m, row player
     let b = game.col_payoffs().map(|x| x + shift); // n x m, col player
 
     let labels = n + m;
+    let width = labels + 1;
 
     // Row tableau: slacks r_i (labels 0..n) basic; r = 1 − A y,
     // nonbasic y_j carry labels n..n+m.
-    let row_tab = Tableau {
-        t: (0..n)
-            .map(|i| {
-                let mut row = vec![0.0; labels + 1];
-                row[i] = 1.0;
-                for j in 0..m {
-                    row[n + j] = a[(i, j)];
-                }
-                row[labels] = 1.0;
-                row
-            })
-            .collect(),
+    let mut row_tab = Tableau {
+        t: vec![0.0; n * width],
+        width,
         basis: (0..n).collect(),
     };
+    for (i, row) in row_tab.t.chunks_exact_mut(width).enumerate() {
+        row[i] = 1.0;
+        for j in 0..m {
+            row[n + j] = a[(i, j)];
+        }
+        row[labels] = 1.0;
+    }
 
     // Column tableau: slacks s_j (labels n..n+m) basic; s = 1 − Bᵀ x,
     // nonbasic x_i carry labels 0..n.
-    let col_tab = Tableau {
-        t: (0..m)
-            .map(|j| {
-                let mut row = vec![0.0; labels + 1];
-                row[n + j] = 1.0;
-                for i in 0..n {
-                    row[i] = b[(i, j)];
-                }
-                row[labels] = 1.0;
-                row
-            })
-            .collect(),
+    let mut col_tab = Tableau {
+        t: vec![0.0; m * width],
+        width,
         basis: (n..n + m).collect(),
     };
+    for (j, row) in col_tab.t.chunks_exact_mut(width).enumerate() {
+        row[n + j] = 1.0;
+        for i in 0..n {
+            row[i] = b[(i, j)];
+        }
+        row[labels] = 1.0;
+    }
 
-    let mut tabs = [row_tab, col_tab];
+    [row_tab, col_tab]
+}
+
+/// Pivots from the artificial equilibrium of `tabs` (`n` row actions),
+/// dropping `label`, until `label` leaves a basis again.
+///
+/// Returns `Ok(pivots)` with `tabs` at the equilibrium, or `Err(pivots)`
+/// if a ratio test came up empty, the state repeated exactly, or
+/// `MAX_PIVOTS` pivots ran out.
+fn pivot_path(tabs: &mut [Tableau; 2], n: usize, label: usize) -> Result<usize, usize> {
     // x variables (labels 0..n) enter the *column* tableau; y variables
     // (labels n..) enter the *row* tableau.
     let tableau_for = |l: usize| if l < n { 1 } else { 0 };
 
+    // Brent's cycle detection: the state after pivot `2^k` is kept as a
+    // checkpoint until pivot `2^(k+1)`, and every state in between is
+    // compared with it.
+    let mut checkpoint: Option<([Tableau; 2], usize)> = None;
+    let mut next_checkpoint = 1;
+
     let mut entering = label;
-    for _ in 0..MAX_PIVOTS {
-        let t = tableau_for(entering);
-        let leaving = tabs[t].pivot(entering).ok_or(GameError::SingularSystem)?;
+    for pivots in 1..=MAX_PIVOTS {
+        let leaving = tabs[tableau_for(entering)].pivot(entering).ok_or(pivots)?;
         if leaving == label {
-            // Complementarity restored: extract the equilibrium.
-            let x: Vec<f64> = (0..n).map(|i| tabs[1].value(i)).collect();
-            let y: Vec<f64> = (0..m).map(|j| tabs[0].value(n + j)).collect();
-            let norm = |v: Vec<f64>| -> Result<MixedStrategy, GameError> {
-                let s: f64 = v.iter().sum();
-                if s <= 0.0 {
-                    return Err(GameError::SingularSystem);
-                }
-                MixedStrategy::new(v.into_iter().map(|x| (x / s).max(0.0)).collect())
-            };
-            let p = norm(x)?;
-            let q = norm(y)?;
-            return Ok(Equilibrium::from_profile(game, p, q));
+            return Ok(pivots);
         }
         entering = leaving;
+
+        if let Some((saved, saved_entering)) = &checkpoint {
+            if *saved_entering == entering
+                && saved[0].same_state(&tabs[0])
+                && saved[1].same_state(&tabs[1])
+            {
+                // Exact repeat: the run is periodic and would run out of
+                // pivots without ever restoring complementarity.
+                return Err(pivots);
+            }
+        }
+        if pivots == next_checkpoint {
+            checkpoint = Some((tabs.clone(), entering));
+            next_checkpoint *= 2;
+        }
     }
-    Err(GameError::SingularSystem)
+    Err(MAX_PIVOTS)
 }
 
 /// Runs Lemke–Howson from every starting label and deduplicates the
@@ -199,6 +274,7 @@ pub fn lemke_howson_all_labels(game: &BimatrixGame) -> Vec<Equilibrium> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::families::Family;
     use crate::games;
     use crate::support_enum::enumerate_equilibria;
 
@@ -269,5 +345,43 @@ mod tests {
                 assert!(!eqs[w].same_profile(&eqs[v], 1e-6));
             }
         }
+    }
+
+    #[test]
+    fn exact_repeat_stops_a_cycling_label_early() {
+        // Degenerate 3x3 game, seed 0: dropping label 2 cycles through a
+        // bit-identical state; every other label reaches an equilibrium.
+        let fam = Family::Degenerate;
+        let g = fam
+            .build(3, fam.default_scale(), fam.default_knob(), 0)
+            .unwrap();
+        for l in 0..6 {
+            let mut tabs = tableaux(&g);
+            let path = pivot_path(&mut tabs, 3, l);
+            if l == 2 {
+                assert!(matches!(path, Err(p) if p < 64), "label 2: {path:?}");
+                assert_eq!(lemke_howson(&g, l), Err(GameError::SingularSystem));
+            } else {
+                assert!(path.is_ok(), "label {l}: {path:?}");
+                let eq = lemke_howson(&g, l).unwrap();
+                assert!(
+                    g.is_equilibrium(&eq.row, &eq.col, 1e-7),
+                    "label {l} gave non-equilibrium {eq}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn drifting_cycle_still_runs_to_the_pivot_bound() {
+        // Degenerate 5x5 game, seed 2, label 9: the basis cycles while the
+        // values drift in their last bits, so no state repeats exactly.
+        let fam = Family::Degenerate;
+        let g = fam
+            .build(5, fam.default_scale(), fam.default_knob(), 2)
+            .unwrap();
+        let mut tabs = tableaux(&g);
+        assert_eq!(pivot_path(&mut tabs, 5, 9), Err(MAX_PIVOTS));
+        assert_eq!(lemke_howson(&g, 9), Err(GameError::SingularSystem));
     }
 }

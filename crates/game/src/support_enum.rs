@@ -12,7 +12,7 @@
 
 use crate::bimatrix::BimatrixGame;
 use crate::equilibrium::{dedup_equilibria, Equilibrium};
-use crate::linalg::solve;
+use crate::linalg::solve_in_place;
 use crate::matrix::Matrix;
 use crate::strategy::MixedStrategy;
 
@@ -47,12 +47,21 @@ pub fn enumerate_equilibria(game: &BimatrixGame, tol: f64) -> Vec<Equilibrium> {
         "support enumeration limited to {MAX_ENUM_ACTIONS} actions per player"
     );
 
-    let mut found = Vec::new();
+    // Column player's payoff matrix transposed: rows become column actions.
+    let bt = game.col_payoffs().transposed();
     let max_k = n.min(m);
+    let mut scratch = Scratch {
+        sys: Vec::with_capacity(max_k * (max_k + 1)),
+        sol: vec![0.0; max_k],
+        p: vec![0.0; n],
+        q: vec![0.0; m],
+    };
+    let mut found = Vec::new();
     for k in 1..=max_k {
+        let col_supports = subsets_of_size(m, k);
         for s in subsets_of_size(n, k) {
-            for t in subsets_of_size(m, k) {
-                if let Some((p, q)) = try_support_pair(game, &s, &t, tol) {
+            for t in &col_supports {
+                if let Some((p, q)) = try_support_pair(game, &bt, &s, t, tol, &mut scratch) {
                     if game.is_equilibrium(&p, &q, tol.max(1e-9)) {
                         found.push(Equilibrium::from_profile(game, p, q));
                     }
@@ -97,28 +106,44 @@ pub(crate) fn subsets_of_size(n: usize, k: usize) -> Vec<Vec<usize>> {
     out
 }
 
+/// Buffers reused by every support pair of one game, so a pair that
+/// fails allocates nothing.
+struct Scratch {
+    /// Row-major augmented indifference system `[M | rhs]`, `k x (k + 1)`.
+    sys: Vec<f64>,
+    /// Its solution, in the first `k` entries.
+    sol: Vec<f64>,
+    /// Row player's full-length mixture.
+    p: Vec<f64>,
+    /// Column player's full-length mixture.
+    q: Vec<f64>,
+}
+
 /// Attempts to find an equilibrium with row support `s` and column support
-/// `t` (equal sizes). Returns `None` if the indifference system is singular
-/// or the solution is infeasible.
+/// `t` (equal sizes); `bt` is the column player's payoff matrix transposed.
+/// Returns `None` if the indifference system is singular or the solution is
+/// infeasible.
 fn try_support_pair(
     game: &BimatrixGame,
+    bt: &Matrix,
     s: &[usize],
     t: &[usize],
     tol: f64,
+    scratch: &mut Scratch,
 ) -> Option<(MixedStrategy, MixedStrategy)> {
-    let q = solve_indifference(game.row_payoffs(), s, t, game.col_actions(), tol)?;
-    // Column player's payoff matrix transposed: rows become column actions.
-    let nt = game.col_payoffs().transposed();
-    let p = solve_indifference(&nt, t, s, game.row_actions(), tol)?;
+    let Scratch { sys, sol, p, q } = scratch;
+    solve_indifference(game.row_payoffs(), s, t, tol, sys, sol, q)?;
+    solve_indifference(bt, t, s, tol, sys, sol, p)?;
 
-    let p = MixedStrategy::new(p).ok()?;
-    let q = MixedStrategy::new(q).ok()?;
+    let p = MixedStrategy::new(p.clone()).ok()?;
+    let q = MixedStrategy::new(q.clone()).ok()?;
     Some((p, q))
 }
 
-/// Solves for the *opponent* mixture `q` (length `opp_len`, support `t`)
-/// that makes the focal player indifferent across their support `s`, given
-/// the focal player's payoff matrix `a` (focal actions on rows).
+/// Solves for the *opponent* mixture `q` (written to `q`, one entry per
+/// column of `a`, support `t`) that makes the focal player indifferent
+/// across their support `s`, given the focal player's payoff matrix `a`
+/// (focal actions on rows). `sys` and `sol` are scratch space.
 ///
 /// Conditions: `(A q)_i` equal for all `i ∈ s`, `Σ_{j∈t} q_j = 1`,
 /// `q_j = 0` outside `t`, `q ≥ −tol`, and no action outside `s` strictly
@@ -127,25 +152,30 @@ fn solve_indifference(
     a: &Matrix,
     s: &[usize],
     t: &[usize],
-    opp_len: usize,
     tol: f64,
-) -> Option<Vec<f64>> {
+    sys: &mut Vec<f64>,
+    sol: &mut [f64],
+    q: &mut [f64],
+) -> Option<()> {
     let k = s.len();
     debug_assert_eq!(k, t.len());
 
     // Unknowns: q_{t[0]}, ..., q_{t[k-1]}.
     // Equations: (A q)_{s[0]} = (A q)_{s[r]} for r = 1..k, plus Σ q = 1.
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(k);
+    sys.clear();
     for r in 1..k {
-        let row: Vec<f64> = t.iter().map(|&j| a[(s[0], j)] - a[(s[r], j)]).collect();
-        rows.push(row);
+        sys.extend(t.iter().map(|&j| a[(s[0], j)] - a[(s[r], j)]));
+        sys.push(0.0);
     }
-    rows.push(vec![1.0; k]);
-    let mut rhs = vec![0.0; k - 1];
-    rhs.push(1.0);
-
-    let sys = Matrix::from_rows(&rows).ok()?;
-    let sol = solve(&sys, &rhs).ok()?;
+    // The difference of two finite payoffs can overflow; such a system
+    // has no usable solution.
+    if !sys.iter().all(|x| x.is_finite()) {
+        return None;
+    }
+    // Last row: k ones, right-hand side 1.
+    sys.resize(k * (k + 1), 1.0);
+    let sol = &mut sol[..k];
+    solve_in_place(sys, sol).ok()?;
 
     // Feasibility: probabilities in [0, 1] up to tolerance.
     if sol.iter().any(|&x| x < -tol || x > 1.0 + tol) {
@@ -153,28 +183,28 @@ fn solve_indifference(
     }
 
     // Expand to full-length vector, clamping tiny negatives.
-    let mut q = vec![0.0; opp_len];
-    for (idx, &j) in t.iter().enumerate() {
-        q[j] = sol[idx].max(0.0);
+    q.fill(0.0);
+    for (&j, &x) in t.iter().zip(sol.iter()) {
+        q[j] = x.max(0.0);
     }
     // Renormalise the clamped vector (clamping can perturb the sum by tol).
     let sum: f64 = q.iter().sum();
     if sum <= 0.0 {
         return None;
     }
-    for x in &mut q {
+    for x in q.iter_mut() {
         *x /= sum;
     }
 
     // Best-response condition: actions off the support must not beat it.
-    let payoff = a.mat_vec(&q).ok()?;
-    let v = payoff[s[0]];
-    for (i, &u) in payoff.iter().enumerate() {
-        if !s.contains(&i) && u > v + tol.max(1e-9) {
+    let payoff = |i: usize| -> f64 { a.row(i).iter().zip(q.iter()).map(|(a, b)| a * b).sum() };
+    let v = payoff(s[0]);
+    for i in 0..a.rows() {
+        if !s.contains(&i) && payoff(i) > v + tol.max(1e-9) {
             return None;
         }
     }
-    Some(q)
+    Some(())
 }
 
 #[cfg(test)]
@@ -260,6 +290,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn overflowing_indifference_system_is_skipped() {
+        // For supports ({0, 1}, {0, 1}) the row player's indifference row
+        // is MAX - (-MAX), which overflows to infinity. The enumerator
+        // skips such a pair instead of solving with a non-finite entry,
+        // so only the two pure equilibria are reported.
+        let a = Matrix::from_rows(&[vec![f64::MAX, 1.0], vec![-f64::MAX, 1.0]]).unwrap();
+        let g = BimatrixGame::new("overflow", a, Matrix::identity(2).unwrap()).unwrap();
+        let profiles: Vec<_> = enumerate_equilibria(&g, 1e-9)
+            .iter()
+            .map(|e| (e.row.probs().to_vec(), e.col.probs().to_vec()))
+            .collect();
+        assert_eq!(
+            profiles,
+            [
+                (vec![0.0, 1.0], vec![0.0, 1.0]),
+                (vec![1.0, 0.0], vec![1.0, 0.0])
+            ]
+        );
     }
 
     #[test]
