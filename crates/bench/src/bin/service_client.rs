@@ -11,7 +11,7 @@
 //! * `--serial` awaits each response before sending the next request,
 //!   which pins the service's execution order to the request order —
 //!   required for byte-deterministic `cache_hit`/`stats` fields;
-//!   without it requests are pipelined across the daemon's shards.
+//!   without it requests are pipelined across the daemon's workers.
 //! * `--golden` normalises responses for golden-file diffing: the
 //!   wall-clock fields are stripped and the document re-serialised
 //!   canonically. CI's `service-smoke` job runs with both flags and

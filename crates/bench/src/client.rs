@@ -223,7 +223,7 @@ mod tests {
             normalise_response(ping),
             r#"{"id":1,"ok":true,"pong":true}"#
         );
-        let stats = r#"{"id":2,"ok":true,"scheduler":{"jobs_stolen":3},"shards":2}"#;
+        let stats = r#"{"id":2,"ok":true,"scheduler":{"jobs_executed":3},"shards":2}"#;
         assert_eq!(
             normalise_response(stats),
             r#"{"id":2,"ok":true,"shards":2}"#

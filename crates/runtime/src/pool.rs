@@ -1,10 +1,12 @@
 //! Self-scheduling worker pool with ordered, cancellable delivery.
 //!
 //! The pool fans an indexed set of independent work items across OS
-//! threads. Idle workers *steal* the next unclaimed index from a shared
+//! threads. Idle workers claim the next unclaimed index from a shared
 //! atomic counter (self-scheduling — the degenerate but optimal form of
 //! work stealing for independent equal-right items), so load balances
-//! automatically however long individual items run.
+//! automatically however long individual items run. At one thread the
+//! items run on the calling thread: no thread is spawned and no channel
+//! is built.
 //!
 //! Results are delivered to the caller's sink **in index order**
 //! regardless of completion order, which is what makes downstream
@@ -14,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A cooperative cancellation flag shared between the scheduler, its
 /// workers, and — for portfolios — sibling jobs.
@@ -68,17 +70,13 @@ struct WorkQueueState<T> {
     closed: bool,
 }
 
-/// A blocking, stealable FIFO queue — the substrate of sharded
-/// schedulers built on this pool module.
+/// A blocking FIFO queue shared by a fixed set of workers — the
+/// service scheduler's job queue.
 ///
-/// Each scheduler shard owns one queue: the owner blocks on
-/// [`WorkQueue::pop_timeout`] (FIFO — oldest item first), while idle
-/// siblings take from the *opposite* end with the non-blocking
-/// [`WorkQueue::steal`], the classic owner/thief split that keeps the
-/// two ends from contending on the same items. [`WorkQueue::close`]
-/// wakes every blocked owner so shard workers can drain and exit on
-/// shutdown; items already queued at close time remain poppable (drain
-/// semantics), only new pushes are refused.
+/// Workers block on [`WorkQueue::pop`] and take the oldest item first.
+/// [`WorkQueue::close`] wakes every blocked worker so the workers can
+/// drain and exit on shutdown; items already queued at close time
+/// remain poppable (drain semantics), only new pushes are refused.
 #[derive(Debug)]
 pub struct WorkQueue<T> {
     state: Mutex<WorkQueueState<T>>,
@@ -97,7 +95,7 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Enqueues an item at the back and wakes one waiting owner.
+    /// Enqueues an item at the back and wakes one blocked worker.
     ///
     /// # Errors
     ///
@@ -112,15 +110,11 @@ impl<T> WorkQueue<T> {
         Ok(())
     }
 
-    /// Dequeues the oldest item, blocking up to `timeout`.
+    /// Dequeues the oldest item, blocking while the queue is empty.
     ///
-    /// Returns `None` on timeout or when the queue is closed *and*
-    /// drained. A closed queue with items left keeps handing them out.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        // Track a deadline across wakeups: a notify whose item a thief
-        // stole must not restart the clock, or sustained push/steal
-        // traffic could block this call far past `timeout`.
-        let deadline = std::time::Instant::now() + timeout;
+    /// Returns `None` once the queue is closed *and* drained. A closed
+    /// queue with items left keeps handing them out.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("work queue poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -129,48 +123,16 @@ impl<T> WorkQueue<T> {
             if state.closed {
                 return None;
             }
-            let remaining = deadline.checked_duration_since(std::time::Instant::now())?;
-            let (next, result) = self
-                .cv
-                .wait_timeout(state, remaining)
-                .expect("work queue poisoned");
-            state = next;
-            if result.timed_out() {
-                return state.items.pop_front();
-            }
+            state = self.cv.wait(state).expect("work queue poisoned");
         }
     }
 
-    /// Takes the *newest* item without blocking — the thief's end.
-    pub fn steal(&self) -> Option<T> {
-        self.state
-            .lock()
-            .expect("work queue poisoned")
-            .items
-            .pop_back()
-    }
-
-    /// Closes the queue: further pushes fail, blocked owners wake, and
+    /// Closes the queue: further pushes fail, blocked workers wake, and
     /// already-queued items remain consumable until drained.
     pub fn close(&self) {
         let mut state = self.state.lock().expect("work queue poisoned");
         state.closed = true;
         self.cv.notify_all();
-    }
-
-    /// Whether [`WorkQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("work queue poisoned").closed
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("work queue poisoned").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -209,13 +171,18 @@ pub fn effective_threads(requested: usize) -> usize {
 ///
 /// Returns the number of items delivered to the sink.
 ///
+/// When `threads` resolves to one worker, the items run on the calling
+/// thread: no thread is spawned, no channel is built, and each result
+/// is delivered as soon as it is computed.
+///
 /// Telemetry: per-task execution time and the delay between an item
 /// finishing and the in-order fold consuming it are recorded into
 /// [`cnash_telemetry::hot`] (`POOL_TASK_NS`, `POOL_FOLD_WAIT_NS`),
-/// along with task and per-worker fold counts. Timing is skipped
-/// entirely when telemetry is disabled, and nothing recorded feeds
-/// back into scheduling — delivery order (and thus every folded
-/// result) is identical with telemetry on or off.
+/// along with task and per-worker fold counts. The one-worker path
+/// folds every item the moment it finishes, so it records no fold
+/// wait. Timing is skipped entirely when telemetry is disabled, and
+/// nothing recorded feeds back into scheduling — delivery order (and
+/// thus every folded result) is identical with telemetry on or off.
 pub fn fan_out_ordered<T: Send>(
     total: usize,
     threads: usize,
@@ -228,6 +195,22 @@ pub fn fan_out_ordered<T: Send>(
     }
     let timing_on = cnash_telemetry::enabled();
     let threads = effective_threads(threads).min(total);
+    if threads == 1 {
+        let mut delivered = 0usize;
+        for k in 0..total {
+            if cancel.is_cancelled() {
+                break;
+            }
+            let (item, _) = run_counted(&work, k, timing_on);
+            delivered += 1;
+            cnash_telemetry::hot::record_worker_fold(0);
+            if sink(k, item).is_break() {
+                cancel.cancel();
+                break;
+            }
+        }
+        return delivered;
+    }
     // Bound the reorder buffer: workers stop claiming indices more than
     // `window` ahead of the fold watermark, so a single slow item keeps
     // at most O(window) undelivered results in memory, not O(total).
@@ -267,14 +250,7 @@ pub fn fan_out_ordered<T: Send>(
                     if k >= total {
                         break;
                     }
-                    let started = timing_on.then(Instant::now);
-                    let item = work(k);
-                    cnash_telemetry::hot::POOL_TASKS.inc();
-                    let done = started.map(|s| {
-                        cnash_telemetry::hot::POOL_TASK_NS
-                            .record(u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                        Instant::now()
-                    });
+                    let (item, done) = run_counted(work, k, timing_on);
                     // The aggregator may have hung up after a break;
                     // losing the send is fine then.
                     if tx.send((k, item, worker, done)).is_err() {
@@ -312,9 +288,25 @@ pub fn fan_out_ordered<T: Send>(
     delivered
 }
 
+/// Runs item `k`, counting it into `POOL_TASKS` and, when `timing_on`,
+/// its execution time into `POOL_TASK_NS`. Returns the result and, when
+/// timed, the instant it finished.
+fn run_counted<T>(work: &impl Fn(usize) -> T, k: usize, timing_on: bool) -> (T, Option<Instant>) {
+    let started = timing_on.then(Instant::now);
+    let item = work(k);
+    cnash_telemetry::hot::POOL_TASKS.inc();
+    let done = started.map(|s| {
+        cnash_telemetry::hot::POOL_TASK_NS
+            .record(u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        Instant::now()
+    });
+    (item, done)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn delivers_every_index_in_order() {
@@ -378,7 +370,7 @@ mod tests {
             &cancel,
             |k| {
                 if k == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    std::thread::sleep(Duration::from_millis(30));
                 }
                 k
             },
@@ -393,10 +385,35 @@ mod tests {
 
     #[test]
     fn external_cancel_stops_claiming() {
+        for threads in [1, 4] {
+            let cancel = CancelToken::new();
+            cancel.cancel();
+            let n = fan_out_ordered(
+                50,
+                threads,
+                &cancel,
+                |k| k,
+                |_, _| ControlFlow::Continue(()),
+            );
+            assert_eq!(n, 0, "threads={threads}: a cancelled token claims nothing");
+        }
+    }
+
+    #[test]
+    fn one_thread_runs_every_item_on_the_caller() {
+        let caller = std::thread::current().id();
         let cancel = CancelToken::new();
-        cancel.cancel();
-        let n = fan_out_ordered(50, 4, &cancel, |k| k, |_, _| ControlFlow::Continue(()));
-        assert!(n <= 50);
+        let n = fan_out_ordered(
+            20,
+            1,
+            &cancel,
+            |_| std::thread::current().id(),
+            |k, id| {
+                assert_eq!(id, caller, "item {k} ran off the calling thread");
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(n, 20);
     }
 
     #[test]
@@ -424,65 +441,62 @@ mod tests {
     }
 
     #[test]
-    fn work_queue_is_fifo_for_owners_and_lifo_for_thieves() {
+    fn work_queue_pop_is_fifo_and_drains_after_close() {
         let q = WorkQueue::new();
         for k in 0..4 {
             q.push(k).unwrap();
         }
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(0));
-        assert_eq!(q.steal(), Some(3));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
-        assert_eq!(q.steal(), Some(2));
-        assert_eq!(q.steal(), None);
+        q.close();
+        assert_eq!(q.push(9), Err(9), "closed queue refuses new work");
+        // Drain semantics: items queued before close stay consumable,
+        // oldest first.
+        for k in 0..4 {
+            assert_eq!(q.pop(), Some(k));
+        }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn work_queue_close_wakes_blocked_owners_and_drains() {
         let q = Arc::new(WorkQueue::<u32>::new());
-        let waiter = {
+        let spawn_waiter = || {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_timeout(Duration::from_secs(30)))
+            std::thread::spawn(move || q.pop())
         };
-        std::thread::sleep(Duration::from_millis(20));
+        let waiter = spawn_waiter();
         q.push(7).unwrap();
         assert_eq!(waiter.join().unwrap(), Some(7));
 
-        q.push(8).unwrap();
+        let waiters = [spawn_waiter(), spawn_waiter()];
+        // Let both waiters block first; a waiter that reaches `pop`
+        // after the close returns `None` all the same.
+        std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.push(9), Err(9), "closed queue refuses new work");
-        // Drain semantics: items queued before close stay consumable.
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(8));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), None);
+        }
     }
 
     #[test]
-    fn work_queue_cross_thread_stealing_loses_nothing() {
+    fn work_queue_concurrent_pops_lose_nothing() {
         let q = Arc::new(WorkQueue::new());
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut taken = Vec::new();
+                    while let Some(v) = q.pop() {
+                        taken.push(v);
+                    }
+                    taken
+                })
+            })
+            .collect();
         for k in 0..200u32 {
             q.push(k).unwrap();
         }
         q.close();
-        let mut handles = Vec::new();
-        for thief in 0..4 {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                let mut taken = Vec::new();
-                loop {
-                    let item = if thief % 2 == 0 {
-                        q.steal()
-                    } else {
-                        q.pop_timeout(Duration::from_millis(1))
-                    };
-                    match item {
-                        Some(v) => taken.push(v),
-                        None => break taken,
-                    }
-                }
-            }));
-        }
-        let mut all: Vec<u32> = handles
+        let mut all: Vec<u32> = workers
             .into_iter()
             .flat_map(|h| h.join().unwrap())
             .collect();

@@ -1,8 +1,8 @@
 //! The solver daemon.
 //!
 //! `cargo run --release -p cnash-service --bin serviced -- \
-//!      [--addr HOST:PORT] [--shards S] [--batch-threads T] \
-//!      [--max-conns N] [--store PATH] [--metrics-file PATH] \
+//!      [--addr HOST:PORT] [--shards S] [--max-conns N] \
+//!      [--store PATH] [--metrics-file PATH] \
 //!      [--metrics-interval-ms MS] [--sa-trace-interval N]`
 //!
 //! Operational behaviour (reactor architecture, backpressure and
@@ -44,8 +44,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: serviced [flags]");
     eprintln!("  --addr HOST:PORT         bind address [127.0.0.1:0 = ephemeral port]");
-    eprintln!("  --shards S               scheduler shards [0 = one per core]");
-    eprintln!("  --batch-threads T        worker threads per batch job [1]");
+    eprintln!("  --shards S               scheduler workers, one solve each [0 = one per core]");
     eprintln!("  --max-conns N            open-connection cap [4096]");
     eprintln!("  --store PATH             persistent solution store (warm boot + disk hits)");
     eprintln!("  --metrics-file PATH      append periodic telemetry snapshots (JSON lines)");
@@ -86,7 +85,6 @@ fn parse_config() -> (ServiceConfig, DaemonOptions) {
             flag,
             "--addr"
                 | "--shards"
-                | "--batch-threads"
                 | "--max-conns"
                 | "--store"
                 | "--metrics-file"
@@ -106,7 +104,6 @@ fn parse_config() -> (ServiceConfig, DaemonOptions) {
         match flag {
             "--addr" => config.addr = value.clone(),
             "--shards" => config.shards = count(value),
-            "--batch-threads" => config.batch_threads = count(value).max(1),
             "--max-conns" => config.max_connections = count(value).max(1),
             "--store" => config.store_path = Some(value.clone()),
             "--metrics-file" => options.metrics_file = Some(value.clone()),

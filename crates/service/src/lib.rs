@@ -13,10 +13,9 @@
 //!   fingerprints, with single-flight builds and cached ground truth —
 //!   repeated and parameter-swept requests skip the `O(n·m)`
 //!   mapping/programming path entirely;
-//! * [`sched`] — a sharded work-stealing scheduler on
-//!   `cnash-runtime`'s pool primitives: round-robin submission onto
-//!   per-shard queues, idle shards steal, cancellation broadcasts on
-//!   shutdown;
+//! * [`sched`] — the scheduler: one FIFO job queue (`cnash-runtime`'s
+//!   `WorkQueue`) served by a fixed set of worker threads, each running
+//!   one solve at a time on its own thread; shutdown drains the queue;
 //! * [`reactor`] — the hand-rolled nonblocking readiness layer
 //!   (Linux epoll) plus a cross-thread waker;
 //! * [`framing`] — incremental line framing and the bounded
@@ -34,8 +33,8 @@
 //!
 //! The determinism contract extends the runtime's: for a fixed request
 //! sequence on one connection, every response payload except the
-//! wall-clock fields is bit-identical whatever the shard count, batch
-//! thread count or steal interleaving ([`protocol::strip_timing`]
+//! wall-clock fields is bit-identical whatever the worker count or
+//! worker interleaving ([`protocol::strip_timing`]
 //! removes the wall-clock fields; CI's `service-smoke` job diffs the
 //! stripped stream against a golden file).
 //!

@@ -57,11 +57,11 @@
 //!
 //! Responses on a connection are streamed **in request order**, even
 //! though solve jobs execute concurrently across the scheduler's
-//! shards. Combined with the runtime's determinism contract (seed-
+//! workers. Combined with the runtime's determinism contract (seed-
 //! ordered folding), the *deterministic* part of every solve response —
 //! everything except the `wall_ms`/`program_ms` wall-clock fields — is
-//! a pure function of the request sequence, whatever the shard count,
-//! thread count or steal interleaving. [`strip_timing`] removes exactly
+//! a pure function of the request sequence, whatever the worker count,
+//! thread count or worker interleaving. [`strip_timing`] removes exactly
 //! the wall-clock fields, which is what the golden-file smoke test
 //! diffs against.
 //!
@@ -95,13 +95,16 @@
 //! The schema below is **stable**: fields are only ever added, never
 //! renamed or removed, and all counts are exact JSON integers
 //! ([`Json::uint`] — no `f64` precision cliff). Like `stats`, the
-//! snapshot is taken at emission time.
+//! snapshot is taken at emission time. The names *inside*
+//! `counters` / `gauges` / `histograms` are the daemon's instruments
+//! and go when an instrument goes (`sched_steals` and the per-shard
+//! `sched_queue_depth_<n>` went with the per-shard scheduler queues).
 //!
 //! ```json
 //! {"id":5,"ok":true,"metrics":{
 //!   "enabled":true,
 //!   "counters":{"cache_instance_hits":63, "op_solve":64, "sa_runs":640, ...},
-//!   "gauges":{"sched_queue_depth_0":0, ...},
+//!   "gauges":{"sched_queue_depth":0, ...},
 //!   "histograms":{"op_solve_ns":{"count":64,"sum_ns":812345678,
 //!     "min_ns":901234,"max_ns":55123456,"mean_ns":12692901.2,
 //!     "p50_ns":11534335,"p90_ns":23068671,"p99_ns":50331647,"p999_ns":55123456}, ...},
@@ -508,7 +511,7 @@ mod tests {
     fn metrics_response_has_the_documented_shape() {
         let reg = cnash_telemetry::Registry::new();
         reg.counter("op_ping").add(3);
-        reg.gauge("sched_queue_depth_0").set(0);
+        reg.gauge("sched_queue_depth").set(0);
         reg.histogram("op_solve_ns").record(1500);
         let _ = reg.events().push("smoke", "hello".into());
         let resp = metrics_response(&Json::num(9.0), &reg.snapshot());
@@ -525,7 +528,7 @@ mod tests {
             );
         }
         assert_eq!(
-            m.get("gauges").unwrap().get("sched_queue_depth_0").unwrap(),
+            m.get("gauges").unwrap().get("sched_queue_depth").unwrap(),
             &Json::uint(0)
         );
         let hist = m.get("histograms").unwrap().get("op_solve_ns").unwrap();

@@ -1,200 +1,147 @@
-//! The sharded work-stealing scheduler behind the service.
+//! The scheduler behind the service: one FIFO job queue served by a
+//! fixed set of worker threads.
 //!
-//! Incoming solve jobs are distributed round-robin over `S` shards,
-//! each a worker thread owning one [`WorkQueue`] (the pool primitive
-//! from `cnash-runtime`). A shard drains its own queue FIFO; when
-//! empty it *steals* the newest job from a sibling, so a connection
-//! that bursts fifty jobs onto one shard is load-balanced across the
-//! whole daemon without any central dispatcher lock on the hot path.
+//! Every solve job is pushed onto one shared [`WorkQueue`] (the pool
+//! primitive from `cnash-runtime`), and each of the `S` workers pops
+//! the oldest queued job whenever it is idle. So a job never waits
+//! behind a long one while another worker sits idle. The queue's mutex
+//! is held only to push or pop one job, far shorter than a solve (the
+//! daemon-side `op_solve_ns` p50 under `service_load` is ~250 µs), so
+//! the workers do not contend on it.
 //!
 //! Jobs are opaque closures: response ordering is the connection
 //! layer's concern (each job sends its result into the connection's
 //! reorder buffer), which keeps the scheduler deterministic-agnostic —
-//! any steal interleaving yields the same per-connection output.
+//! any worker interleaving yields the same per-connection output.
 //!
-//! Shutdown closes every queue; workers finish the jobs already
-//! running, drain what was queued (each queued job observes the
-//! cancelled token and reports a cancelled batch quickly) and exit.
+//! Shutdown closes the queue; workers finish the jobs already running,
+//! drain what was queued (each queued job observes the cancelled token
+//! and reports a cancelled batch quickly) and exit.
 
 use cnash_runtime::pool::effective_threads;
 use cnash_runtime::WorkQueue;
-use cnash_telemetry::{Counter, Gauge, Registry};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use cnash_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 /// A unit of scheduled work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Telemetry handles shared by the submit path and every shard loop.
+/// A queued job and, when telemetry is enabled, the instant it was
+/// pushed.
+struct Queued {
+    job: Job,
+    pushed: Option<Instant>,
+}
+
+/// Telemetry handles shared by the submit path and every worker.
 ///
-/// Queue-depth gauges count jobs *queued but not yet started*: `inc` on
-/// a successful push, `dec` the moment a shard pops (or steals) the
-/// job. `executed` counts completed job runs; `steals` the subset that
-/// ran on a shard other than the one they were submitted to.
+/// The depth gauge counts jobs *queued but not yet started*: `inc` on
+/// a successful push, `dec` the moment a worker pops the job. `wait`
+/// records each job's time from push to pop; `executed` counts
+/// completed job runs.
 #[derive(Debug)]
 struct SchedTelemetry {
-    depth: Vec<Arc<Gauge>>,
+    depth: Arc<Gauge>,
+    wait: Arc<Histogram>,
     executed: Arc<Counter>,
-    steals: Arc<Counter>,
 }
 
-impl SchedTelemetry {
-    /// Fresh, unregistered instruments (scheduler-local stats).
-    fn local(count: usize) -> Self {
-        Self {
-            depth: (0..count).map(|_| Arc::new(Gauge::new())).collect(),
-            executed: Arc::new(Counter::new()),
-            steals: Arc::new(Counter::new()),
-        }
-    }
-
-    /// Instruments owned by `registry` under the stable names
-    /// `sched_queue_depth_<shard>`, `sched_jobs_executed` and
-    /// `sched_steals`.
-    fn registered(count: usize, registry: &Registry) -> Self {
-        Self {
-            depth: (0..count)
-                .map(|me| registry.gauge(&format!("sched_queue_depth_{me}")))
-                .collect(),
-            executed: registry.counter("sched_jobs_executed"),
-            steals: registry.counter("sched_steals"),
-        }
-    }
-}
-
-/// Sharded work-stealing executor.
+/// One job queue served by a fixed set of worker threads.
 pub struct Scheduler {
-    shards: Vec<Arc<WorkQueue<Job>>>,
+    queue: Arc<WorkQueue<Queued>>,
     workers: Vec<JoinHandle<()>>,
-    next: AtomicUsize,
     telemetry: Arc<SchedTelemetry>,
 }
 
 impl Scheduler {
-    /// Spawns `shards` worker shards (`0` = one per available core).
-    pub fn new(shards: usize) -> Self {
-        Self::build(shards, None)
-    }
-
-    /// Spawns a scheduler whose queue-depth gauges and steal/executed
-    /// counters live in `registry`, under the stable names
-    /// `sched_queue_depth_<shard>`, `sched_jobs_executed` and
-    /// `sched_steals`.
-    pub(crate) fn with_registry(shards: usize, registry: &Registry) -> Self {
-        Self::build(shards, Some(registry))
-    }
-
-    fn build(shards: usize, registry: Option<&Registry>) -> Self {
-        let count = effective_threads(shards);
-        let telemetry = Arc::new(match registry {
-            Some(reg) => SchedTelemetry::registered(count, reg),
-            None => SchedTelemetry::local(count),
+    /// Spawns `shards` workers (`0` = one per available core) over one
+    /// job queue. Its instruments live in `registry` under the stable
+    /// names `sched_queue_depth`, `sched_queue_wait_ns` and
+    /// `sched_jobs_executed`.
+    pub fn new(shards: usize, registry: &Registry) -> Self {
+        let telemetry = Arc::new(SchedTelemetry {
+            depth: registry.gauge("sched_queue_depth"),
+            wait: registry.histogram("sched_queue_wait_ns"),
+            executed: registry.counter("sched_jobs_executed"),
         });
-        let queues: Vec<Arc<WorkQueue<Job>>> =
-            (0..count).map(|_| Arc::new(WorkQueue::new())).collect();
-        let workers = (0..count)
+        let queue = Arc::new(WorkQueue::new());
+        let workers = (0..effective_threads(shards))
             .map(|me| {
-                let queues = queues.clone();
+                let queue = Arc::clone(&queue);
                 let telemetry = Arc::clone(&telemetry);
                 std::thread::Builder::new()
-                    .name(format!("cnash-shard-{me}"))
-                    .spawn(move || shard_loop(me, &queues, &telemetry))
-                    .expect("spawn shard worker")
+                    .name(format!("cnash-worker-{me}"))
+                    .spawn(move || worker_loop(&queue, &telemetry))
+                    .expect("spawn scheduler worker")
             })
             .collect();
         Self {
-            shards: queues,
+            queue,
             workers,
-            next: AtomicUsize::new(0),
             telemetry,
         }
     }
 
-    /// Number of shards.
+    /// Number of workers.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.workers.len()
     }
 
-    /// Total jobs executed to completion (any shard).
+    /// Total jobs executed to completion.
     pub fn jobs_executed(&self) -> u64 {
         self.telemetry.executed.get()
     }
 
-    /// Jobs that ran on a shard other than the one they were queued on.
-    pub fn jobs_stolen(&self) -> u64 {
-        self.telemetry.steals.get()
-    }
-
-    /// Submits a job (round-robin shard assignment).
+    /// Queues a job for the next idle worker.
     ///
     /// # Errors
     ///
     /// Returns the job back if the scheduler is shut down.
     pub fn submit(&self, job: Job) -> Result<(), Job> {
-        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        // Gauge up *before* the push: a shard may pop the job
+        // Gauge up *before* the push: a worker may pop the job
         // immediately, and its `dec` must never observe the gauge
         // before our `inc` (the depth would transiently read −1).
-        self.telemetry.depth[shard].inc();
-        match self.shards[shard].push(job) {
-            Ok(()) => Ok(()),
-            Err(job) => {
-                self.telemetry.depth[shard].dec();
-                Err(job)
-            }
-        }
+        self.telemetry.depth.inc();
+        let pushed = cnash_telemetry::enabled().then(Instant::now);
+        self.queue.push(Queued { job, pushed }).map_err(|queued| {
+            self.telemetry.depth.dec();
+            queued.job
+        })
     }
 
-    /// Closes every shard queue and joins the workers once queued work
-    /// has drained.
+    /// Closes the queue and joins the workers once queued work has
+    /// drained.
     pub fn shutdown(self) {
-        for q in &self.shards {
-            q.close();
-        }
+        self.queue.close();
         for w in self.workers {
-            w.join().expect("shard worker panicked");
+            w.join().expect("scheduler worker panicked");
         }
     }
 }
 
 /// Runs one job with panic isolation: a panicking job must not kill
-/// its shard — the daemon would otherwise keep round-robining 1/S of
-/// all future work onto a dead queue where it hangs forever. The job's
-/// own response-channel send is lost on panic; the connection layer
-/// guards against that with its own `catch_unwind` around the solve.
+/// its worker — the daemon would lose that worker for good, and with
+/// one worker every later job would hang in the queue. The job's own
+/// response-channel send is lost on panic; the connection layer guards
+/// against that with its own `catch_unwind` around the solve.
 fn run_isolated(job: Job) {
     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
-        eprintln!("cnash-service: a scheduled job panicked; shard continues");
+        eprintln!("cnash-service: a scheduled job panicked; worker continues");
     }
 }
 
-fn shard_loop(me: usize, queues: &[Arc<WorkQueue<Job>>], telemetry: &SchedTelemetry) {
-    let own = &queues[me];
-    loop {
-        // Own work first (FIFO).
-        if let Some(job) = own.pop_timeout(Duration::from_millis(20)) {
-            telemetry.depth[me].dec();
-            run_isolated(job);
-            telemetry.executed.inc();
-            continue;
+fn worker_loop(queue: &WorkQueue<Queued>, telemetry: &SchedTelemetry) {
+    while let Some(Queued { job, pushed }) = queue.pop() {
+        telemetry.depth.dec();
+        if let Some(pushed) = pushed {
+            telemetry
+                .wait
+                .record(u64::try_from(pushed.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        // Idle: steal the newest job from the first busy sibling.
-        let stolen = (1..queues.len())
-            .map(|k| (me + k) % queues.len())
-            .find_map(|victim| queues[victim].steal().map(|job| (victim, job)));
-        if let Some((victim, job)) = stolen {
-            telemetry.depth[victim].dec();
-            telemetry.steals.inc();
-            run_isolated(job);
-            telemetry.executed.inc();
-            continue;
-        }
-        if own.is_closed() {
-            // No own work, nothing stealable, no new pushes possible.
-            return;
-        }
+        run_isolated(job);
+        telemetry.executed.inc();
     }
 }
 
@@ -202,10 +149,11 @@ fn shard_loop(me: usize, queues: &[Arc<WorkQueue<Job>>], telemetry: &SchedTeleme
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn executes_everything_across_shards() {
-        let sched = Scheduler::new(3);
+        let sched = Scheduler::new(3, &Registry::new());
         assert_eq!(sched.shard_count(), 3);
         let (tx, rx) = mpsc::channel();
         for k in 0..50usize {
@@ -222,12 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_a_bursty_shard() {
-        // One slow job pins shard 0; everything queued behind it must
-        // still complete promptly by theft — asserted by draining the
-        // channel with a receive timeout well below the slow job's
-        // duration times the queue length.
-        let sched = Scheduler::new(4);
+    fn slow_jobs_do_not_hold_up_the_queue_behind_them() {
+        // Every fourth job is slow; everything queued behind one must
+        // still complete on the other workers.
+        let sched = Scheduler::new(4, &Registry::new());
         let (tx, rx) = mpsc::channel();
         for k in 0..16usize {
             let tx = tx.clone();
@@ -250,8 +196,47 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_worker_starts_the_next_job_at_once() {
+        // Job A pins one of two workers. Once job B has finished, the
+        // other worker is idle, so job C must start at once, never
+        // queued behind A. The minimum over five tries keeps a
+        // descheduled test thread from failing the assertion.
+        let sched = Scheduler::new(2, &Registry::new());
+        let mut best = Duration::MAX;
+        for _ in 0..5 {
+            let (started_tx, started) = mpsc::channel::<Instant>();
+            let (release_a, a_gate) = mpsc::channel::<()>();
+            let a_started = started_tx.clone();
+            sched
+                .submit(Box::new(move || {
+                    a_started.send(Instant::now()).unwrap();
+                    a_gate.recv().unwrap();
+                }))
+                .unwrap_or_else(|_| panic!("open scheduler accepts work"));
+            started.recv().unwrap();
+            let (b_done_tx, b_done) = mpsc::channel();
+            sched
+                .submit(Box::new(move || b_done_tx.send(()).unwrap()))
+                .unwrap_or_else(|_| panic!("open scheduler accepts work"));
+            b_done.recv().unwrap();
+            let submitted = Instant::now();
+            sched
+                .submit(Box::new(move || started_tx.send(Instant::now()).unwrap()))
+                .unwrap_or_else(|_| panic!("open scheduler accepts work"));
+            let c_started = started.recv_timeout(Duration::from_secs(10)).unwrap();
+            best = best.min(c_started.saturating_duration_since(submitted));
+            release_a.send(()).unwrap();
+        }
+        assert!(
+            best < Duration::from_millis(10),
+            "job C waited {best:?} with a worker idle"
+        );
+        sched.shutdown();
+    }
+
+    #[test]
     fn a_panicking_job_does_not_kill_its_shard() {
-        let sched = Scheduler::new(1); // one shard: it must survive
+        let sched = Scheduler::new(1, &Registry::new()); // one worker: it must survive
         let (tx, rx) = mpsc::channel();
         sched
             .submit(Box::new(|| panic!("job blew up")))
@@ -259,7 +244,7 @@ mod tests {
         sched
             .submit(Box::new(move || tx.send(42u32).unwrap()))
             .unwrap_or_else(|_| panic!("open scheduler accepts work"));
-        // The job after the panicking one still runs on the same shard.
+        // The job after the panicking one still runs on the same worker.
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(42));
         sched.shutdown(); // and shutdown joins cleanly (no poisoned worker)
     }
@@ -267,7 +252,7 @@ mod tests {
     #[test]
     fn telemetry_accounts_for_every_job_and_settles_to_empty_queues() {
         let registry = Registry::new();
-        let sched = Scheduler::with_registry(2, &registry);
+        let sched = Scheduler::new(2, &registry);
         let (tx, rx) = mpsc::channel();
         for k in 0..20usize {
             let tx = tx.clone();
@@ -281,15 +266,15 @@ mod tests {
         sched.shutdown();
         let snap = registry.snapshot();
         assert_eq!(snap.counters["sched_jobs_executed"], 20);
-        assert!(snap.counters["sched_steals"] <= 20);
-        // Every queued job was consumed: the depth gauges settle at 0.
-        assert_eq!(snap.gauges["sched_queue_depth_0"], 0);
-        assert_eq!(snap.gauges["sched_queue_depth_1"], 0);
+        // One queue-wait sample per executed job.
+        assert_eq!(snap.histograms["sched_queue_wait_ns"].count, 20);
+        // Every queued job was consumed: the depth gauge settles at 0.
+        assert_eq!(snap.gauges["sched_queue_depth"], 0);
     }
 
     #[test]
     fn shutdown_drains_queued_work() {
-        let sched = Scheduler::new(2);
+        let sched = Scheduler::new(2, &Registry::new());
         let (tx, rx) = mpsc::channel();
         for k in 0..8usize {
             let tx = tx.clone();

@@ -11,10 +11,10 @@
 //!    [`ServiceConfig::max_connections`]),
 //! 2. reads ready connections through an incremental [`LineFramer`],
 //!    turning complete lines into response slots or scheduler jobs,
-//! 3. applies solve completions (scheduler shards push results into a
+//! 3. applies solve completions (scheduler workers push results into a
 //!    shared queue and nudge the [`Waker`]),
 //! 4. advances each connection's reorder buffer — responses stream
-//!    back **in request order** regardless of shard interleaving — and
+//!    back **in request order** regardless of worker interleaving — and
 //!    writes as much as the kernel accepts into the socket.
 //!
 //! Responses the kernel will not take queue in a bounded per-connection
@@ -70,12 +70,9 @@ pub struct ServiceConfig {
     /// Bind address. Port `0` asks the OS for an ephemeral port —
     /// read the actual one from [`ServiceHandle::addr`].
     pub addr: String,
-    /// Scheduler shards (`0` = one per available core).
+    /// Scheduler workers (`0` = one per available core). Each worker
+    /// runs one solve at a time on its own thread.
     pub shards: usize,
-    /// Worker threads per batch job. The default of `1` trades
-    /// per-job latency for throughput: with every shard busy, extra
-    /// per-batch threads would only oversubscribe the cores.
-    pub batch_threads: usize,
     /// Open-connection cap; connections accepted past it are closed
     /// immediately and counted under `conn_rejected`.
     pub max_connections: usize,
@@ -112,7 +109,6 @@ impl Default for ServiceConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             shards: 0,
-            batch_threads: 1,
             max_connections: 4096,
             write_queue_soft_limit: 256 * 1024,
             write_queue_hard_limit: 8 * 1024 * 1024,
@@ -195,7 +191,7 @@ impl ServiceHandle {
     }
 }
 
-/// Binds the listener and spawns the daemon: scheduler shards plus the
+/// Binds the listener and spawns the daemon: scheduler workers plus the
 /// reactor thread owning every socket.
 ///
 /// # Errors
@@ -223,7 +219,7 @@ pub fn serve(config: ServiceConfig) -> io::Result<ServiceHandle> {
         .as_deref()
         .map(|path| SolutionStore::open_with_registry(path, &registry).map(Arc::new))
         .transpose()?;
-    let scheduler = Scheduler::with_registry(config.shards, &registry);
+    let scheduler = Scheduler::new(config.shards, &registry);
     let reactor = Reactor {
         listener,
         wake_rx,
@@ -312,7 +308,7 @@ enum Slot {
     Shutdown(Json),
 }
 
-/// A solve finished on some shard: `(connection token, seq, response)`.
+/// A solve finished on some worker: `(connection token, seq, response)`.
 type Completion = (u64, u64, Json);
 
 /// Why a connection is being closed.
@@ -662,7 +658,6 @@ impl Ctx {
         let cache = Arc::clone(&self.cache);
         let store = self.store.clone();
         let cancel = self.signal.cancel.clone();
-        let batch_threads = self.config.batch_threads;
         let sink = Arc::clone(&self.metrics.op_solve);
         let completions = Arc::clone(&self.completions);
         let waker = self.signal.waker.clone();
@@ -675,15 +670,7 @@ impl Ctx {
                 // number, so a lost response would wedge every later
                 // reply on this connection.
                 let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_solve(
-                        &cache,
-                        store.as_deref(),
-                        &job,
-                        truth,
-                        batch_threads,
-                        &cancel,
-                        &job_id,
-                    )
+                    execute_solve(&cache, store.as_deref(), &job, truth, 1, &cancel, &job_id)
                 }))
                 .unwrap_or_else(|_| {
                     protocol::error_response(&job_id, "internal error: solve panicked")
@@ -720,10 +707,10 @@ impl Ctx {
                         // scheduling-dependent counts in one move.
                         (
                             "scheduler",
-                            Json::obj([
-                                ("jobs_executed", Json::uint(self.scheduler.jobs_executed())),
-                                ("jobs_stolen", Json::uint(self.scheduler.jobs_stolen())),
-                            ]),
+                            Json::obj([(
+                                "jobs_executed",
+                                Json::uint(self.scheduler.jobs_executed()),
+                            )]),
                         ),
                     ]);
                     // Present only when a store is configured, so the
@@ -821,6 +808,11 @@ impl Ctx {
 /// function: sweeping through it (rather than a parallel code path)
 /// is what makes presolved records byte-identical to what the daemon
 /// would have produced live.
+///
+/// `batch_threads` is the batch's worker count. Every caller passes 1:
+/// the daemon's scheduler workers and the sweeper's fan-out already
+/// keep every core busy, and at 1 the runs execute on the calling
+/// thread.
 pub fn execute_solve(
     cache: &InstanceCache,
     store: Option<&SolutionStore>,
@@ -880,7 +872,7 @@ pub fn execute_solve(
     runner.early_stop = job.early_stop;
     // A *child* of the daemon's shutdown token: shutdown cancels this
     // batch, but the batch's own early stop (which cancels its token to
-    // halt its pool) cannot leak into sibling jobs on other shards.
+    // halt its pool) cannot leak into sibling jobs.
     let batch_token = cancel.child();
     let batch = runner.evaluate_cancellable(prepared.solver.as_ref(), &ground_truth, &batch_token);
 

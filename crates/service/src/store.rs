@@ -95,7 +95,7 @@ pub fn record_checksum(key: u64, payload: &str) -> u64 {
 ///   spec-form-dependent game name, which appears in the payload),
 /// * the ground-truth policy (coverage statistics differ).
 ///
-/// `batch_threads` is deliberately absent: the runtime's determinism
+/// No thread count is part of the key: the runtime's determinism
 /// contract makes the payload thread-count independent.
 pub fn solve_key(game: &BimatrixGame, job: &JobSpec, truth: TruthPolicy) -> u64 {
     let label = job
