@@ -1,19 +1,24 @@
-//! Incremental (delta) energy evaluation for the Metropolis driver.
+//! The annealing driver and its evaluators.
 //!
-//! Algorithm 1 proposes *one* elementary move per iteration — a single
-//! `1/I` unit transfer for strategy states, a single bit flip for QUBOs —
-//! yet the straightforward driver re-evaluates the whole objective on
-//! every proposal: `O(n·m)` work for an `O(1)` state change. The
-//! [`DeltaEnergy`] trait inverts that: an evaluator keeps internal caches
-//! keyed to the current state, a proposal updates only the cache regions
-//! the move touches and returns the energy change, and rejected proposals
-//! roll the caches back.
+//! [`simulated_annealing_delta`] is the one Metropolis loop of the
+//! workspace (Algorithm 1). It is generic over a [`DeltaEnergy`]
+//! evaluator: the evaluator owns the walk state, a proposal reports the
+//! energy change of one elementary move — a single `1/I` unit transfer
+//! for strategy states, a single bit flip for QUBOs — and the driver
+//! commits or reverts it. An incremental evaluator keeps caches keyed to
+//! the current state and touches only what the move changes, instead of
+//! re-evaluating the whole objective per proposal.
 //!
-//! Production implementations live next to the hardware models:
+//! Evaluators:
 //!
 //! * `cnash-crossbar`'s `DeltaBiCrossbar` caches the per-data-line
-//!   accumulated currents of both arrays in [`PairwiseSum`] trees,
-//! * `cnash-qubo`'s local-field annealer caches per-variable fields.
+//!   accumulated currents of both arrays in [`PairwiseSum`] trees (every
+//!   C-Nash run),
+//! * `cnash-qubo`'s `QuboDelta` caches per-variable local fields (every
+//!   emulated D-Wave read),
+//! * [`FullEnergy`] re-evaluates an energy function from scratch per
+//!   proposal: `IdealSolver`'s exact Nash gap, and the reference the
+//!   delta-vs-full tests and the `perf` harness compare against.
 //!
 //! # Bit-identical incrementality
 //!
@@ -34,9 +39,8 @@ use rand::{RngExt, SeedableRng};
 ///
 /// The evaluator owns the walk state. At most one proposal may be
 /// outstanding: after [`propose`](DeltaEnergy::propose) the evaluator
-/// *is* in the candidate state and must receive either
-/// [`commit`](DeltaEnergy::commit) or [`revert`](DeltaEnergy::revert)
-/// before the next proposal.
+/// must receive either [`commit`](DeltaEnergy::commit) or
+/// [`revert`](DeltaEnergy::revert) before the next proposal.
 ///
 /// # Contract
 ///
@@ -44,25 +48,31 @@ use rand::{RngExt, SeedableRng};
 ///   the values [`energy`](DeltaEnergy::energy) would report — the driver
 ///   folds the delta into its bookkeeping, so a sloppy delta corrupts the
 ///   acceptance statistics.
-/// * `revert` must restore `state()`, `energy()` and every internal cache
-///   to exactly (bitwise) their pre-proposal values.
+/// * After `commit`, `state()` is the moved state and `energy()` its
+///   energy.
+/// * `revert` must leave `state()`, `energy()` and every internal cache
+///   exactly (bitwise) at their pre-proposal values.
+/// * The driver reads `state()` and `energy()` only while no proposal is
+///   pending, so an evaluator may apply a move in `propose` or defer it
+///   to `commit`.
 pub trait DeltaEnergy {
     /// The walk state (a strategy pair, a QUBO assignment, ...).
     type State: Clone + PartialEq;
     /// An elementary move between neighbouring states.
     type Move;
 
-    /// The current state (the candidate while a proposal is pending).
+    /// The current state (read only while no proposal is pending).
     fn state(&self) -> &Self::State;
 
-    /// Energy of the current state.
+    /// Energy of the current state (read only while no proposal is
+    /// pending).
     fn energy(&self) -> f64;
 
     /// Samples a move from the current state's neighbourhood; `None` when
     /// the state has no neighbours (degenerate instances).
     fn sample_move(&self, rng: &mut StdRng) -> Option<Self::Move>;
 
-    /// Applies `mv` to the state and caches, returning the energy delta.
+    /// Proposes `mv`, returning the energy delta.
     fn propose(&mut self, mv: Self::Move) -> f64;
 
     /// Accepts the pending proposal.
@@ -72,19 +82,28 @@ pub trait DeltaEnergy {
     fn revert(&mut self);
 }
 
-/// Runs simulated annealing through a [`DeltaEnergy`] evaluator instead
-/// of a full re-evaluation per proposal (Algorithm 1, incremental form).
+/// Runs simulated annealing through `evaluator` from its current state,
+/// with the RNG seeded from `opts.seed` (Algorithm 1).
 ///
-/// Acceptance logic, RNG consumption and hit/trace bookkeeping mirror
-/// [`crate::engine::simulated_annealing`] exactly: an evaluator whose
-/// deltas are bit-identical to full re-evaluation walks the same
-/// trajectory as the full driver under the same seed.
+/// Each iteration samples one move and accepts it when it does not raise
+/// the energy, else with probability `e^{−ΔE/T}` at the scheduled
+/// temperature. The driver records nothing outside the returned
+/// [`SaRun`]; callers that keep run metrics derive them from it.
 pub fn simulated_annealing_delta<E: DeltaEnergy>(
     evaluator: &mut E,
     opts: &SaOptions,
 ) -> SaRun<E::State> {
-    let trace_every = cnash_telemetry::hot::sa_trace_interval();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    simulated_annealing_delta_with_rng(evaluator, opts, StdRng::seed_from_u64(opts.seed))
+}
+
+/// [`simulated_annealing_delta`] continuing the stream of `rng` instead
+/// of seeding from `opts.seed` — for walks whose start state is drawn
+/// from the run's own stream (the emulated D-Wave reads of `cnash-qubo`).
+pub fn simulated_annealing_delta_with_rng<E: DeltaEnergy>(
+    evaluator: &mut E,
+    opts: &SaOptions,
+    mut rng: StdRng,
+) -> SaRun<E::State> {
     let mut current_energy = evaluator.energy();
     let mut best_state = evaluator.state().clone();
     let mut best_energy = current_energy;
@@ -99,54 +118,42 @@ pub fn simulated_annealing_delta<E: DeltaEnergy>(
         hits.record(evaluator.state());
     }
 
-    for iter in 0..opts.iterations {
-        let temp = opts.schedule.temperature(iter, opts.iterations);
-        // A state without neighbours proposes itself: delta 0, accepted —
-        // the same no-op iteration the full driver executes.
-        let (delta, pending) = match evaluator.sample_move(&mut rng) {
-            Some(mv) => (evaluator.propose(mv), true),
-            None => (0.0, false),
-        };
-        if delta <= 0.0 || rng.random::<f64>() < (-delta / temp).exp() {
-            if pending {
-                evaluator.commit();
-            }
-            current_energy = evaluator.energy();
-            accepted += 1;
-            if current_energy < best_energy {
-                best_energy = current_energy;
-                best_state = evaluator.state().clone();
-            }
-            if hit(current_energy) {
-                if first_hit.is_none() {
-                    first_hit = Some(iter + 1);
+    let mut iter = 0;
+    for (temp, len) in opts.schedule.steps(opts.iterations) {
+        for _ in 0..len {
+            iter += 1;
+            // A state without neighbours proposes itself: delta 0,
+            // accepted — a no-op iteration.
+            let (delta, pending) = match evaluator.sample_move(&mut rng) {
+                Some(mv) => (evaluator.propose(mv), true),
+                None => (0.0, false),
+            };
+            // Algorithm 1 lines 9–13: accept improvements, else with
+            // probability e^{−ΔE/T}.
+            if delta <= 0.0 || rng.random::<f64>() < (-delta / temp).exp() {
+                if pending {
+                    evaluator.commit();
                 }
-                hits.record(evaluator.state());
+                current_energy = evaluator.energy();
+                accepted += 1;
+                if current_energy < best_energy {
+                    best_energy = current_energy;
+                    best_state = evaluator.state().clone();
+                }
+                if hit(current_energy) {
+                    if first_hit.is_none() {
+                        first_hit = Some(iter);
+                    }
+                    hits.record(evaluator.state());
+                }
+            } else if pending {
+                evaluator.revert();
             }
-        } else if pending {
-            evaluator.revert();
-        }
-        if opts.record_trace {
-            trace.push(current_energy);
-        }
-        if trace_every != 0 && (iter + 1) % trace_every as usize == 0 {
-            cnash_telemetry::hot::SA_TRACE.push(
-                "sa_energy",
-                format!(
-                    "seed={} iter={} energy={}",
-                    opts.seed,
-                    iter + 1,
-                    current_energy
-                ),
-            );
+            if opts.record_trace {
+                trace.push(current_energy);
+            }
         }
     }
-
-    // Same end-of-run aggregates as the full driver: telemetry reads
-    // the walk, never steers it, keeping the two drivers in lockstep.
-    cnash_telemetry::hot::SA_RUNS.inc();
-    cnash_telemetry::hot::SA_SWEEPS.add(opts.iterations as u64);
-    cnash_telemetry::hot::SA_ACCEPTS.add(accepted as u64);
 
     let (hit_states, hits_truncated) = hits.into_parts();
     SaRun {
@@ -160,6 +167,81 @@ pub fn simulated_annealing_delta<E: DeltaEnergy>(
         trace,
         hit_states,
         hits_truncated,
+    }
+}
+
+/// The from-scratch evaluator: a state, an energy function evaluated on
+/// every candidate, and a neighbour function that draws the candidate.
+///
+/// A proposal is a whole candidate state; `commit` swaps it in and
+/// `revert` drops it. This is `IdealSolver`'s evaluator and the
+/// reference that incremental evaluators are checked against: one whose
+/// deltas are bit-identical to full re-evaluation walks the same
+/// trajectory as `FullEnergy` over the same energy under the same seed,
+/// provided its `sample_move` draws from the RNG as `neighbour` does.
+pub struct FullEnergy<S, F, N> {
+    state: S,
+    energy: f64,
+    energy_fn: F,
+    neighbour: N,
+    /// The pending candidate and its energy.
+    pending: Option<(S, f64)>,
+}
+
+impl<S, F, N> FullEnergy<S, F, N>
+where
+    F: FnMut(&S) -> f64,
+    N: Fn(&S, &mut StdRng) -> S,
+{
+    /// Builds the evaluator at `init`, evaluating its energy once.
+    pub fn new(init: S, mut energy_fn: F, neighbour: N) -> Self {
+        let energy = energy_fn(&init);
+        Self {
+            state: init,
+            energy,
+            energy_fn,
+            neighbour,
+            pending: None,
+        }
+    }
+}
+
+impl<S, F, N> DeltaEnergy for FullEnergy<S, F, N>
+where
+    S: Clone + PartialEq,
+    F: FnMut(&S) -> f64,
+    N: Fn(&S, &mut StdRng) -> S,
+{
+    type State = S;
+    type Move = S;
+
+    fn state(&self) -> &S {
+        &self.state
+    }
+
+    fn energy(&self) -> f64 {
+        self.energy
+    }
+
+    fn sample_move(&self, rng: &mut StdRng) -> Option<S> {
+        Some((self.neighbour)(&self.state, rng))
+    }
+
+    fn propose(&mut self, candidate: S) -> f64 {
+        let energy = (self.energy_fn)(&candidate);
+        let delta = energy - self.energy;
+        self.pending = Some((candidate, energy));
+        delta
+    }
+
+    fn commit(&mut self) {
+        let (state, energy) = self.pending.take().expect("no pending proposal");
+        self.state = state;
+        self.energy = energy;
+    }
+
+    fn revert(&mut self) {
+        self.pending = None;
     }
 }
 
@@ -333,8 +415,8 @@ mod tests {
     #[test]
     fn delta_driver_matches_full_driver_bitwise() {
         // Integer energies are exact in f64, so the incremental deltas
-        // equal full re-evaluation bitwise and the two drivers must walk
-        // the same trajectory under the same seed.
+        // equal full re-evaluation bitwise and the two evaluators must
+        // walk the same trajectory under the same seed.
         for seed in 0..20u64 {
             let opts = SaOptions {
                 iterations: 2000,
@@ -344,12 +426,12 @@ mod tests {
                 record_trace: true,
                 record_hits: true,
             };
-            let full = crate::engine::simulated_annealing(
+            let mut reference = FullEnergy::new(
                 50i64,
                 |&x| (x * x) as f64,
                 |&x, rng| if rng.random::<bool>() { x + 1 } else { x - 1 },
-                &opts,
             );
+            let full = simulated_annealing_delta(&mut reference, &opts);
             let mut eval = Quadratic { x: 50, pending: 0 };
             let delta = simulated_annealing_delta(&mut eval, &opts);
             assert_eq!(full, delta);

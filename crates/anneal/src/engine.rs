@@ -1,15 +1,10 @@
-//! Generic seeded Metropolis/simulated-annealing driver (Algorithm 1).
+//! Options and results of a seeded simulated-annealing run
+//! (Algorithm 1), and the capped recorder of solution hits.
 //!
-//! The driver is generic over the state type and an energy closure that
-//! evaluates every proposal from scratch. `IdealSolver` runs on it, and
-//! it is the full-evaluation reference of the `perf` harness and the
-//! delta-vs-full equivalence tests. C-Nash runs do not use it: every
-//! `CNashSolver::run` anneals through
-//! [`crate::delta::simulated_annealing_delta`].
+//! The run itself is [`crate::delta::simulated_annealing_delta`], the
+//! workspace's one Metropolis loop.
 
 use crate::schedule::Schedule;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 /// Options of one SA run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,12 +32,12 @@ pub struct SaOptions {
 /// Cap on recorded hit states per run.
 pub const MAX_HIT_STATES: usize = 64;
 
-/// Capped recorder of *distinct* solution-hit states, shared by every
-/// driver that logs hits (full/delta SA, the D-Wave baseline): dedups
-/// against what it already holds, keeps at most [`MAX_HIT_STATES`]
-/// states, and raises `truncated` when a distinct state is dropped at
-/// the cap. Centralising this keeps the full and delta drivers bitwise
-/// in lockstep and the `truncated` lower-bound semantics uniform.
+/// Capped recorder of *distinct* solution-hit states, shared by
+/// everything that logs hits (the SA driver, the D-Wave baseline, CFR):
+/// dedups against what it already holds, keeps at most
+/// [`MAX_HIT_STATES`] states, and raises `truncated` when a distinct
+/// state is dropped at the cap, so the `truncated` lower-bound semantics
+/// are uniform.
 #[derive(Debug, Clone)]
 pub struct HitRecorder<S> {
     enabled: bool,
@@ -70,16 +65,6 @@ impl<S: Clone + PartialEq> HitRecorder<S> {
                 self.truncated = true;
             }
         }
-    }
-
-    /// States recorded so far, in visit order.
-    pub fn states(&self) -> &[S] {
-        &self.states
-    }
-
-    /// Whether a distinct state was dropped at the cap.
-    pub fn truncated(&self) -> bool {
-        self.truncated
     }
 
     /// Consumes the recorder into `(states, truncated)`.
@@ -142,101 +127,26 @@ impl<S> SaRun<S> {
     }
 }
 
-/// Runs simulated annealing from `init`, proposing `neighbour` moves with
-/// Metropolis acceptance at the scheduled temperature (Algorithm 1).
-///
-/// `energy` may be stateful (hardware in the loop); it is invoked once for
-/// the initial state and once per proposal.
-///
-/// Telemetry: run aggregates land in [`cnash_telemetry::hot`] once at
-/// the end of the run, and an energy sample is pushed to
-/// `hot::SA_TRACE` every `hot::sa_trace_interval()`-th iteration (the
-/// interval is read once, at run start). Neither touches the RNG or
-/// any decision, so the walk — and the returned [`SaRun`] — is
-/// bit-identical with telemetry on or off.
-pub fn simulated_annealing<S: Clone + PartialEq>(
-    init: S,
-    mut energy: impl FnMut(&S) -> f64,
-    mut neighbour: impl FnMut(&S, &mut StdRng) -> S,
-    opts: &SaOptions,
-) -> SaRun<S> {
-    let trace_every = cnash_telemetry::hot::sa_trace_interval();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut current = init;
-    let mut current_energy = energy(&current);
-    let mut best_state = current.clone();
-    let mut best_energy = current_energy;
-    let mut first_hit = None;
-    let mut accepted = 0;
-    let mut trace = Vec::new();
-    let mut hits = HitRecorder::new(opts.record_hits);
-
-    let hit = |e: f64| opts.target_energy.is_some_and(|t| e <= t);
-    if hit(current_energy) {
-        first_hit = Some(0);
-        hits.record(&current);
-    }
-
-    for iter in 0..opts.iterations {
-        let temp = opts.schedule.temperature(iter, opts.iterations);
-        let candidate = neighbour(&current, &mut rng);
-        let cand_energy = energy(&candidate);
-        let delta = cand_energy - current_energy;
-        // Algorithm 1 lines 9–13: accept improvements, else with
-        // probability e^{−ΔE/T}.
-        if delta <= 0.0 || rng.random::<f64>() < (-delta / temp).exp() {
-            current = candidate;
-            current_energy = cand_energy;
-            accepted += 1;
-            if current_energy < best_energy {
-                best_energy = current_energy;
-                best_state = current.clone();
-            }
-            if hit(current_energy) {
-                if first_hit.is_none() {
-                    first_hit = Some(iter + 1);
-                }
-                hits.record(&current);
-            }
-        }
-        if opts.record_trace {
-            trace.push(current_energy);
-        }
-        if trace_every != 0 && (iter + 1) % trace_every as usize == 0 {
-            cnash_telemetry::hot::SA_TRACE.push(
-                "sa_energy",
-                format!(
-                    "seed={} iter={} energy={}",
-                    opts.seed,
-                    iter + 1,
-                    current_energy
-                ),
-            );
-        }
-    }
-
-    cnash_telemetry::hot::SA_RUNS.inc();
-    cnash_telemetry::hot::SA_SWEEPS.add(opts.iterations as u64);
-    cnash_telemetry::hot::SA_ACCEPTS.add(accepted as u64);
-
-    let (hit_states, hits_truncated) = hits.into_parts();
-    SaRun {
-        best_state,
-        best_energy,
-        final_state: current,
-        final_energy: current_energy,
-        first_hit,
-        accepted,
-        iterations: opts.iterations,
-        trace,
-        hit_states,
-        hits_truncated,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::{simulated_annealing_delta, FullEnergy};
+    use rand::rngs::StdRng;
+    use rand::RngExt;
+
+    /// A ±1 random step on the integers.
+    fn step(x: &i64, rng: &mut StdRng) -> i64 {
+        if rng.random::<bool>() {
+            x + 1
+        } else {
+            x - 1
+        }
+    }
+
+    /// Anneals from `init` under `energy` with ±1 steps.
+    fn run(init: i64, energy: impl FnMut(&i64) -> f64, opts: &SaOptions) -> SaRun<i64> {
+        simulated_annealing_delta(&mut FullEnergy::new(init, energy, step), opts)
+    }
 
     fn quadratic_opts(seed: u64) -> SaOptions {
         SaOptions {
@@ -250,12 +160,7 @@ mod tests {
     }
 
     fn run_quadratic(seed: u64) -> SaRun<i64> {
-        simulated_annealing(
-            50i64,
-            |&x| (x * x) as f64,
-            |&x, rng| if rng.random::<bool>() { x + 1 } else { x - 1 },
-            &quadratic_opts(seed),
-        )
+        run(50, |&x| (x * x) as f64, &quadratic_opts(seed))
     }
 
     #[test]
@@ -282,7 +187,8 @@ mod tests {
             iterations: 1,
             ..SaOptions::default()
         };
-        let run = simulated_annealing(0i64, |&x| x as f64, |&x, _| x, &opts);
+        let run =
+            simulated_annealing_delta(&mut FullEnergy::new(0i64, |&x| x as f64, |&x, _| x), &opts);
         assert_eq!(run.first_hit, Some(0));
     }
 
@@ -293,12 +199,7 @@ mod tests {
             target_energy: None,
             ..SaOptions::default()
         };
-        let run = simulated_annealing(
-            5i64,
-            |&x| (x * x) as f64,
-            |&x, rng| if rng.random::<bool>() { x + 1 } else { x - 1 },
-            &opts,
-        );
+        let run = run(5, |&x| (x * x) as f64, &opts);
         assert_eq!(run.first_hit, None);
     }
 
@@ -309,12 +210,7 @@ mod tests {
             record_trace: true,
             ..SaOptions::default()
         };
-        let run = simulated_annealing(
-            10i64,
-            |&x| (x * x) as f64,
-            |&x, rng| if rng.random::<bool>() { x + 1 } else { x - 1 },
-            &opts,
-        );
+        let run = run(10, |&x| (x * x) as f64, &opts);
         assert_eq!(run.trace.len(), 50);
     }
 
@@ -328,15 +224,20 @@ mod tests {
             record_hits: true,
             ..SaOptions::default()
         };
-        let run = simulated_annealing(0i64, |&x| -(x as f64), |&x, _| x + 1, &opts);
+        let walk = |opts: &SaOptions| {
+            simulated_annealing_delta(
+                &mut FullEnergy::new(0i64, |&x| -(x as f64), |&x, _| x + 1),
+                opts,
+            )
+        };
+        let run = walk(&opts);
         assert_eq!(run.hit_states.len(), MAX_HIT_STATES);
         assert!(run.hits_truncated);
         // Under the cap the flag stays clear.
-        let short = SaOptions {
+        let run = walk(&SaOptions {
             iterations: 10,
             ..opts
-        };
-        let run = simulated_annealing(0i64, |&x| -(x as f64), |&x, _| x + 1, &short);
+        });
         assert!(!run.hits_truncated);
         assert_eq!(run.hit_states.len(), 11);
     }
@@ -363,9 +264,8 @@ mod tests {
             ..hot
         };
         let e = |x: &i64| (x * x) as f64;
-        let m = |x: &i64, rng: &mut StdRng| if rng.random::<bool>() { x + 1 } else { x - 1 };
-        let hot_run = simulated_annealing(100i64, e, m, &hot);
-        let cold_run = simulated_annealing(100i64, e, m, &cold);
+        let hot_run = run(100, e, &hot);
+        let cold_run = run(100, e, &cold);
         assert!(hot_run.accepted > cold_run.accepted);
     }
 

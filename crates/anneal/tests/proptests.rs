@@ -1,11 +1,28 @@
 //! Property-based tests of the SA engine and grid moves.
 
-use cnash_anneal::engine::{simulated_annealing, SaOptions};
+use cnash_anneal::delta::{simulated_annealing_delta, FullEnergy};
+use cnash_anneal::engine::{SaOptions, SaRun};
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_anneal::schedule::Schedule;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Anneals `|x|` over the integers from `start` with ±1 steps.
+fn walk_abs(start: i64, opts: &SaOptions) -> SaRun<i64> {
+    let mut eval = FullEnergy::new(
+        start,
+        |&x| (x as f64).abs(),
+        |&x, rng| {
+            if rand::RngExt::random::<bool>(rng) {
+                x + 1
+            } else {
+                x - 1
+            }
+        },
+    );
+    simulated_annealing_delta(&mut eval, opts)
+}
 
 proptest! {
     /// Schedules are monotone non-increasing and stay within
@@ -28,6 +45,30 @@ proptest! {
             let t = s.temperature(k, total);
             prop_assert!(t <= last + 1e-12);
             prop_assert!(t >= t_min - 1e-9 && t <= t_max + 1e-9);
+            last = t;
+        }
+    }
+
+    /// The per-sweep schedule is monotone non-increasing, constant within
+    /// each sweep, and stays within [t_min, t_max].
+    #[test]
+    fn sweep_schedule_monotone_and_bounded(
+        t_max in 0.1f64..100.0,
+        ratio in 0.01f64..1.0,
+        sweep_len in 1usize..10,
+        total in 1usize..500,
+    ) {
+        let t_min = t_max * ratio;
+        let s = Schedule::SweepGeometric { t_max, t_min, sweep_len };
+        let mut last = f64::INFINITY;
+        for k in 0..total {
+            let t = s.temperature(k, total);
+            if k % sweep_len == 0 {
+                prop_assert!(t <= last);
+            } else {
+                prop_assert_eq!(t, last);
+            }
+            prop_assert!(t >= t_min * (1.0 - 1e-9) && t <= t_max);
             last = t;
         }
     }
@@ -63,12 +104,7 @@ proptest! {
             record_trace: true,
             record_hits: true,
         };
-        let run = simulated_annealing(
-            start,
-            |&x| (x as f64).abs(),
-            |&x, rng| if rand::RngExt::random::<bool>(rng) { x + 1 } else { x - 1 },
-            &opts,
-        );
+        let run = walk_abs(start, &opts);
         prop_assert!(run.best_energy <= (start as f64).abs() + 1e-12);
         prop_assert_eq!(run.trace.len(), 500);
         if let Some(hit) = run.first_hit {
@@ -94,12 +130,7 @@ proptest! {
             record_trace: false,
             record_hits: true,
         };
-        let run = simulated_annealing(
-            10i64,
-            |&x| (x as f64).abs(),
-            |&x, rng| if rand::RngExt::random::<bool>(rng) { x + 1 } else { x - 1 },
-            &opts,
-        );
+        let run = walk_abs(10, &opts);
         for i in 0..run.hit_states.len() {
             for j in i + 1..run.hit_states.len() {
                 prop_assert_ne!(run.hit_states[i], run.hit_states[j]);

@@ -3,11 +3,12 @@
 use crate::config::CNashConfig;
 use crate::error::CoreError;
 use crate::timing::CimTimingModel;
-use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy};
-use cnash_anneal::engine::{simulated_annealing, SaOptions};
+use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy, FullEnergy};
+use cnash_anneal::engine::SaOptions;
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_crossbar::{BiCrossbar, DeltaBiCrossbar, PhaseOneMax};
 use cnash_game::{BimatrixGame, Game, MixedStrategy, Profile};
+use cnash_telemetry::hot;
 use cnash_wta::WtaTree;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,6 +70,71 @@ pub trait NashSolver: Send + Sync {
 
     /// Executes one independent run with the given seed.
     fn run(&self, seed: u64) -> RunOutcome;
+}
+
+/// One run of a C-Nash-family solver (C-Nash itself or the ideal-
+/// evaluation ablation): Algorithm 1 from the seed's random grid state,
+/// through the evaluator `at` builds there, with solution hits at
+/// energies `≤ target` and `latency` model seconds per iteration.
+///
+/// The run is recorded in the process-global annealer metrics from the
+/// [`SaRun`](cnash_anneal::engine::SaRun) the driver returns: one
+/// `SA_RUNS`, its iterations in `SA_SWEEPS`, its accepted moves in
+/// `SA_ACCEPTS`, and, when [`hot::sa_trace_interval`] is `n > 0`, the
+/// energy after every `n`-th iteration as an `sa_energy` event (the run
+/// then keeps its trace for this). Recording touches no RNG and no
+/// decision, so the outcome is bit-identical with telemetry on or off.
+fn grid_run<E: DeltaEnergy<State = GridStrategyPair>>(
+    game: &BimatrixGame,
+    config: &CNashConfig,
+    seed: u64,
+    target: f64,
+    latency: f64,
+    at: impl FnOnce(GridStrategyPair) -> E,
+) -> RunOutcome {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0101);
+    let (n, m) = (game.row_actions(), game.col_actions());
+    let start = GridStrategyPair::random(n, m, config.intervals, &mut rng)
+        .expect("benchmark games have non-empty action sets");
+    let trace_every = hot::sa_trace_interval() as usize;
+    let opts = SaOptions {
+        iterations: config.iterations,
+        schedule: config.schedule,
+        seed,
+        target_energy: Some(target),
+        record_trace: trace_every != 0,
+        record_hits: true,
+    };
+    let sa = simulated_annealing_delta(&mut at(start), &opts);
+    hot::SA_RUNS.inc();
+    hot::SA_SWEEPS.add(sa.iterations as u64);
+    hot::SA_ACCEPTS.add(sa.accepted as u64);
+    if trace_every != 0 {
+        let sampled = sa.trace.iter().enumerate().skip(trace_every - 1);
+        for (i, energy) in sampled.step_by(trace_every) {
+            let detail = format!("seed={seed} iter={} energy={energy}", i + 1);
+            hot::SA_TRACE.push("sa_energy", detail);
+        }
+    }
+    // Algorithm 1 returns the final accepted strategy pair. (Tracking
+    // the measured-best state instead would let static read-noise
+    // outliers dominate — a solver on real hardware cannot tell a
+    // noise-depressed reading from a true optimum.)
+    let (p, q) = (sa.final_state.p_strategy(), sa.final_state.q_strategy());
+    let solutions = sa
+        .hit_states
+        .iter()
+        .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
+        .collect();
+    RunOutcome {
+        is_equilibrium: game.is_equilibrium(&p, &q, 1e-6),
+        profile: Some(Profile::pair(p, q)),
+        hit_time: sa.first_hit.map(|k| k as f64 * latency),
+        total_time: sa.iterations as f64 * latency,
+        measured_objective: sa.final_energy,
+        solutions,
+        solutions_truncated: sa.hits_truncated,
+    }
 }
 
 /// Phase-1 maxima routed through the solver's WTA-tree model (or the
@@ -287,17 +353,6 @@ impl CNashSolver {
         self.timing
             .iteration_latency(self.game.row_actions(), self.game.col_actions())
     }
-
-    fn initial_state(&self, seed: u64) -> GridStrategyPair {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0101);
-        GridStrategyPair::random(
-            self.game.row_actions(),
-            self.game.col_actions(),
-            self.config.intervals,
-            &mut rng,
-        )
-        .expect("benchmark games have non-empty action sets")
-    }
 }
 
 impl NashSolver for CNashSolver {
@@ -310,39 +365,11 @@ impl NashSolver for CNashSolver {
     }
 
     fn run(&self, seed: u64) -> RunOutcome {
-        let opts = SaOptions {
-            iterations: self.config.iterations,
-            schedule: self.config.schedule,
-            seed,
-            target_energy: Some(self.config.gap_tolerance),
-            record_trace: false,
-            record_hits: true,
-        };
-        let mut evaluator = self
-            .delta_evaluator(self.initial_state(seed))
-            .expect("initial state matches the hardware geometry");
-        let sa = simulated_annealing_delta(&mut evaluator, &opts);
-        // Algorithm 1 returns the final accepted strategy pair. (Tracking
-        // the measured-best state instead would let static read-noise
-        // outliers dominate — a solver on real hardware cannot tell a
-        // noise-depressed reading from a true optimum.)
-        let p = sa.final_state.p_strategy();
-        let q = sa.final_state.q_strategy();
-        let lat = self.iteration_latency();
-        let solutions = sa
-            .hit_states
-            .iter()
-            .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
-            .collect();
-        RunOutcome {
-            is_equilibrium: self.game.is_equilibrium(&p, &q, 1e-6),
-            profile: Some(Profile::pair(p, q)),
-            hit_time: sa.first_hit.map(|k| k as f64 * lat),
-            total_time: sa.iterations as f64 * lat,
-            measured_objective: sa.final_energy,
-            solutions,
-            solutions_truncated: sa.hits_truncated,
-        }
+        let (target, latency) = (self.config.gap_tolerance, self.iteration_latency());
+        grid_run(&self.game, &self.config, seed, target, latency, |start| {
+            self.delta_evaluator(start)
+                .expect("initial state matches the hardware geometry")
+        })
     }
 }
 
@@ -385,42 +412,17 @@ impl NashSolver for IdealSolver {
     }
 
     fn run(&self, seed: u64) -> RunOutcome {
-        let opts = SaOptions {
-            iterations: self.config.iterations,
-            schedule: self.config.schedule,
-            seed,
-            target_energy: Some(self.config.gap_tolerance.max(1e-9)),
-            record_trace: false,
-            record_hits: true,
-        };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0101);
-        let init = GridStrategyPair::random(
-            self.game.row_actions(),
-            self.game.col_actions(),
-            self.config.intervals,
-            &mut rng,
-        )
-        .expect("non-empty action sets");
-        let sa = simulated_annealing(init, |s| self.evaluate(s), |s, rng| s.neighbour(rng), &opts);
-        let p = sa.final_state.p_strategy();
-        let q = sa.final_state.q_strategy();
-        let lat = self
+        let target = self.config.gap_tolerance.max(1e-9);
+        let latency = self
             .timing
             .iteration_latency(self.game.row_actions(), self.game.col_actions());
-        let solutions = sa
-            .hit_states
-            .iter()
-            .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
-            .collect();
-        RunOutcome {
-            is_equilibrium: self.game.is_equilibrium(&p, &q, 1e-6),
-            profile: Some(Profile::pair(p, q)),
-            hit_time: sa.first_hit.map(|k| k as f64 * lat),
-            total_time: sa.iterations as f64 * lat,
-            measured_objective: sa.final_energy,
-            solutions,
-            solutions_truncated: sa.hits_truncated,
-        }
+        grid_run(&self.game, &self.config, seed, target, latency, |start| {
+            FullEnergy::new(
+                start,
+                |s: &GridStrategyPair| self.evaluate(s),
+                |s: &GridStrategyPair, rng: &mut StdRng| s.neighbour(rng),
+            )
+        })
     }
 }
 
@@ -482,7 +484,7 @@ mod tests {
 
     #[test]
     fn delta_run_matches_full_reevaluation_bitwise() {
-        // The incremental evaluator against the full driver re-evaluating
+        // The incremental evaluator against `FullEnergy` re-evaluating
         // every candidate from scratch through `evaluate`: identical
         // trajectories, bit for bit — with the full paper noise model
         // (variability + 8-bit ADC + WTA trees) on, on the three paper
@@ -506,12 +508,12 @@ mod tests {
                 };
                 let mut rng = StdRng::seed_from_u64(seed);
                 let init = GridStrategyPair::random(n, m, 12, &mut rng).unwrap();
-                let full = simulated_annealing(
+                let mut reference = FullEnergy::new(
                     init.clone(),
-                    |st| s.evaluate(st),
-                    |st, r| st.neighbour(r),
-                    &opts,
+                    |st: &GridStrategyPair| s.evaluate(st),
+                    |st: &GridStrategyPair, r: &mut StdRng| st.neighbour(r),
                 );
+                let full = simulated_annealing_delta(&mut reference, &opts);
                 let mut evaluator = s.delta_evaluator(init).unwrap();
                 let delta = simulated_annealing_delta(&mut evaluator, &opts);
                 assert_eq!(full, delta, "{}", g.name());

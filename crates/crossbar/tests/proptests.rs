@@ -172,18 +172,18 @@ proptest! {
         }
     }
 
-    /// **Delta-vs-full SA equivalence.** The incremental Metropolis
-    /// driver and the classic driver re-evaluating every candidate from
-    /// scratch walk bit-identical trajectories: same best energy, same
-    /// best state, same acceptance count.
+    /// **Delta-vs-full SA equivalence.** The driver over the incremental
+    /// evaluator and over `FullEnergy`, re-evaluating every candidate
+    /// from scratch, walk bit-identical trajectories: same best energy,
+    /// same best state, same acceptance count.
     #[test]
     fn delta_sa_run_matches_full_sa_run(
         n in 2usize..4,
         m in 2usize..4,
         seed in 0u64..50,
     ) {
-        use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy};
-        use cnash_anneal::engine::{simulated_annealing, SaOptions};
+        use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy, FullEnergy};
+        use cnash_anneal::engine::SaOptions;
         use cnash_anneal::moves::GridStrategyPair;
         use cnash_anneal::schedule::Schedule;
         use cnash_crossbar::{DeltaBiCrossbar, ExactMax};
@@ -203,16 +203,16 @@ proptest! {
             record_trace: true,
             record_hits: true,
         };
-        let full = simulated_annealing(
+        let mut reference = FullEnergy::new(
             init.clone(),
-            |s| {
+            |s: &GridStrategyPair| {
                 DeltaBiCrossbar::new(&hw, s.clone(), ExactMax)
                     .expect("geometry")
                     .energy()
             },
-            |s, r| s.neighbour(r),
-            &opts,
+            |s: &GridStrategyPair, r: &mut StdRng| s.neighbour(r),
         );
+        let full = simulated_annealing_delta(&mut reference, &opts);
         let mut eval = DeltaBiCrossbar::new(&hw, init, ExactMax).expect("geometry");
         let delta = simulated_annealing_delta(&mut eval, &opts);
         prop_assert_eq!(full, delta);

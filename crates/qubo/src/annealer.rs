@@ -1,25 +1,27 @@
-//! Single-flip simulated annealing over QUBOs.
+//! Single-flip simulated annealing over QUBOs: the reads of the
+//! emulated D-Wave samplers (each "read" is modelled as a short thermal
+//! anneal, see [`crate::dwave`]).
 //!
-//! [`anneal_incremental`] is the classical core of the emulated D-Wave
-//! samplers (each "read" is modelled as a short thermal anneal, see
-//! [`crate::dwave`]).
-//!
-//! Two copies of the same Metropolis loop differ only in how they
-//! evaluate a proposed flip:
-//!
-//! * [`anneal`] recomputes the flip delta with an `O(n)` row scan per
-//!   proposal ([`Qubo::flip_delta`]) — the full-evaluation reference
-//!   that `perf` and the property tests compare against;
-//! * [`anneal_incremental`] caches the **local field** of every variable
-//!   (`hₖ = lₖ + Σ_j Q_{kj} xⱼ`) in a [`LocalFields`] table: a proposal
-//!   reads one cached entry (`O(1)`) and only *accepted* flips pay the
-//!   `O(n)` field refresh. For QUBOs whose coefficients are exact in
-//!   `f64` (integer games and their S-QUBO penalties) the two paths are
-//!   **bit-identical** — same trajectory, same best state — which the
-//!   crate's property tests pin.
+//! A read draws its start assignment from its own seeded RNG, then runs
+//! the workspace's one Metropolis driver,
+//! [`cnash_anneal::delta::simulated_annealing_delta_with_rng`], on that
+//! stream: `sweeps × n` single-flip proposals, the temperature held over
+//! each sweep of `n` and decayed geometrically between sweeps
+//! ([`Schedule::SweepGeometric`]). [`anneal_with`] takes the evaluator;
+//! [`anneal_incremental`] is the production read over [`QuboDelta`],
+//! which caches the **local field** of every variable
+//! (`hₖ = lₖ + Σ_j Q_{kj} xⱼ`) in a local-field table: a proposal
+//! reads one cached entry (`O(1)`) and only *accepted* flips pay the
+//! `O(n)` field refresh. For QUBOs whose coefficients are exact in `f64`
+//! (integer games and their S-QUBO penalties) a read through
+//! `cnash_anneal::delta::FullEnergy` over [`Qubo::energy`] walks the
+//! **bit-identical** trajectory, which the crate's property tests and
+//! the `perf` harness pin.
 
 use crate::model::Qubo;
-use cnash_anneal::delta::DeltaEnergy;
+use cnash_anneal::delta::{simulated_annealing_delta_with_rng, DeltaEnergy};
+use cnash_anneal::engine::{SaOptions, SaRun};
+use cnash_anneal::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -61,76 +63,55 @@ impl Default for AnnealParams {
     }
 }
 
-/// Outcome of one annealing run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnealResult {
-    /// Best assignment seen.
-    pub best_assignment: Vec<bool>,
-    /// Energy of the best assignment.
-    pub best_energy: f64,
-    /// Final (not necessarily best) assignment.
-    pub final_assignment: Vec<bool>,
-    /// Number of accepted flips.
-    pub accepted: usize,
+/// Runs one seeded annealing read of a `num_vars`-variable QUBO through
+/// the evaluator that `at` builds at the start assignment.
+///
+/// The start assignment is the first `num_vars` draws of the read's RNG
+/// (seeded with `seed`); the walk continues that stream with
+/// `params.sweeps` sweeps of `num_vars` proposals each. Only the walk is
+/// recorded: no target, hits or trace.
+pub fn anneal_with<E: DeltaEnergy<State = Vec<bool>>>(
+    num_vars: usize,
+    params: &AnnealParams,
+    seed: u64,
+    at: impl FnOnce(Vec<bool>) -> E,
+) -> SaRun<Vec<bool>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let start = (0..num_vars).map(|_| rng.random()).collect();
+    let opts = SaOptions {
+        iterations: params.sweeps * num_vars,
+        // An empty QUBO has no proposals; its sweeps are empty too.
+        schedule: Schedule::SweepGeometric {
+            t_max: params.t_max,
+            t_min: params.t_min,
+            sweep_len: num_vars.max(1),
+        },
+        seed,
+        target_energy: None,
+        record_trace: false,
+        record_hits: false,
+    };
+    simulated_annealing_delta_with_rng(&mut at(start), &opts, rng)
 }
 
-/// Runs one seeded simulated-annealing descent on `qubo`.
-///
-/// The temperature decays geometrically from `t_max` to `t_min` over the
-/// configured sweeps; each sweep proposes one flip per variable in random
-/// order with Metropolis acceptance.
+/// Runs one seeded annealing read of `qubo` over [`QuboDelta`] (see
+/// [`anneal_with`]): each sweep proposes one flip per variable, at
+/// random, with Metropolis acceptance.
 ///
 /// # Example
 ///
 /// ```
 /// use cnash_qubo::model::Qubo;
-/// use cnash_qubo::annealer::{anneal, AnnealParams};
+/// use cnash_qubo::annealer::{anneal_incremental, AnnealParams};
 ///
 /// // Minimise (x0 + x1 − 1)²: ground states are the two one-hot vectors.
 /// let mut q = Qubo::new(2);
 /// q.add_squared_penalty(&[(0, 1.0), (1, 1.0)], -1.0, 1.0);
-/// let r = anneal(&q, &AnnealParams::default(), 1);
+/// let r = anneal_incremental(&q, &AnnealParams::default(), 1);
 /// assert_eq!(r.best_energy, 0.0);
 /// ```
-pub fn anneal(qubo: &Qubo, params: &AnnealParams, seed: u64) -> AnnealResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = qubo.num_vars();
-    let mut x: Vec<bool> = (0..n).map(|_| rng.random()).collect();
-    let mut energy = qubo.energy(&x);
-    let mut best = x.clone();
-    let mut best_energy = energy;
-    let mut accepted = 0;
-
-    let ratio = if params.sweeps > 1 {
-        (params.t_min / params.t_max).powf(1.0 / (params.sweeps - 1) as f64)
-    } else {
-        1.0
-    };
-    let mut temp = params.t_max;
-
-    for _ in 0..params.sweeps {
-        for _ in 0..n {
-            let k = rng.random_range(0..n);
-            let delta = qubo.flip_delta(&x, k);
-            if delta <= 0.0 || rng.random::<f64>() < (-delta / temp).exp() {
-                x[k] = !x[k];
-                energy += delta;
-                accepted += 1;
-                if energy < best_energy {
-                    best_energy = energy;
-                    best = x.clone();
-                }
-            }
-        }
-        temp *= ratio;
-    }
-
-    AnnealResult {
-        best_assignment: best,
-        best_energy,
-        final_assignment: x,
-        accepted,
-    }
+pub fn anneal_incremental(qubo: &Qubo, params: &AnnealParams, seed: u64) -> SaRun<Vec<bool>> {
+    anneal_with(qubo.num_vars(), params, seed, |x| QuboDelta::new(qubo, x))
 }
 
 /// Cached local fields `hₖ = lₖ + Σ_{j≠k} Q_{kj} xⱼ` of an assignment.
@@ -139,7 +120,7 @@ pub fn anneal(qubo: &Qubo, params: &AnnealParams, seed: u64) -> AnnealResult {
 /// instead of [`Qubo::flip_delta`]'s `O(n)` row scan. Only *accepted*
 /// flips pay the `O(n)` refresh of the other variables' fields.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LocalFields {
+struct LocalFields {
     fields: Vec<f64>,
 }
 
@@ -149,7 +130,7 @@ impl LocalFields {
     /// # Panics
     ///
     /// Panics if `x.len() != qubo.num_vars()`.
-    pub fn new(qubo: &Qubo, x: &[bool]) -> Self {
+    fn new(qubo: &Qubo, x: &[bool]) -> Self {
         let n = qubo.num_vars();
         assert_eq!(x.len(), n, "assignment length mismatch");
         let fields = (0..n)
@@ -175,7 +156,7 @@ impl LocalFields {
     /// # Panics
     ///
     /// Panics if `k` is out of range.
-    pub fn flip_delta(&self, x: &[bool], k: usize) -> f64 {
+    fn flip_delta(&self, x: &[bool], k: usize) -> f64 {
         if x[k] {
             -self.fields[k]
         } else {
@@ -189,7 +170,7 @@ impl LocalFields {
     /// # Panics
     ///
     /// Panics if `k` is out of range or lengths mismatch.
-    pub(crate) fn apply_flip(&mut self, qubo: &Qubo, x: &[bool], k: usize) {
+    fn apply_flip(&mut self, qubo: &Qubo, x: &[bool], k: usize) {
         let n = qubo.num_vars();
         assert_eq!(x.len(), n, "assignment length mismatch");
         assert!(k < n, "variable {k} out of range");
@@ -206,76 +187,28 @@ impl LocalFields {
     /// # Panics
     ///
     /// Panics if `k` is out of range.
-    pub fn field(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    fn field(&self, k: usize) -> f64 {
         self.fields[k]
     }
 }
 
-/// Runs one seeded annealing descent with local-field caching — the
-/// incremental counterpart of [`anneal`].
-///
-/// RNG consumption and acceptance logic are identical to [`anneal`]; for
-/// QUBOs whose coefficients are exact in `f64` the two functions return
-/// bit-identical results, while this one touches `O(1)` state per
-/// proposal and `O(n)` only per accepted flip.
-pub fn anneal_incremental(qubo: &Qubo, params: &AnnealParams, seed: u64) -> AnnealResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = qubo.num_vars();
-    let mut x: Vec<bool> = (0..n).map(|_| rng.random()).collect();
-    let mut energy = qubo.energy(&x);
-    let mut fields = LocalFields::new(qubo, &x);
-    let mut best = x.clone();
-    let mut best_energy = energy;
-    let mut accepted = 0;
-
-    let ratio = if params.sweeps > 1 {
-        (params.t_min / params.t_max).powf(1.0 / (params.sweeps - 1) as f64)
-    } else {
-        1.0
-    };
-    let mut temp = params.t_max;
-
-    for _ in 0..params.sweeps {
-        for _ in 0..n {
-            let k = rng.random_range(0..n);
-            let delta = fields.flip_delta(&x, k);
-            if delta <= 0.0 || rng.random::<f64>() < (-delta / temp).exp() {
-                x[k] = !x[k];
-                fields.apply_flip(qubo, &x, k);
-                energy += delta;
-                accepted += 1;
-                if energy < best_energy {
-                    best_energy = energy;
-                    best = x.clone();
-                }
-            }
-        }
-        temp *= ratio;
-    }
-
-    AnnealResult {
-        best_assignment: best,
-        best_energy,
-        final_assignment: x,
-        accepted,
-    }
-}
-
 /// A QUBO assignment as an incrementally evaluable SA objective — the
-/// [`DeltaEnergy`] face of [`LocalFields`] for the generic driver
-/// [`cnash_anneal::delta::simulated_annealing_delta`].
+/// [`DeltaEnergy`] face of a cached local-field table for the driver.
 ///
-/// `propose` is `O(1)` and defers the field refresh to `commit`, so
-/// rejected proposals cost nothing and `revert` restores the evaluator
-/// bitwise.
+/// `propose` is `O(1)`: it reads the flip delta and defers the flip
+/// itself, with the energy update and the `O(n)` field refresh, to
+/// `commit`. A rejected proposal touches nothing, so `revert` is a
+/// no-op. `commit` applies the last proposal, so, as the [`DeltaEnergy`]
+/// contract says, it must follow one.
 #[derive(Debug, Clone)]
 pub struct QuboDelta<'q> {
     qubo: &'q Qubo,
     x: Vec<bool>,
     fields: LocalFields,
     energy: f64,
-    /// `(flipped bit, pre-proposal energy)` of the pending proposal.
-    pending: Option<(usize, f64)>,
+    /// `(bit to flip, energy delta)` of the last proposal.
+    pending: (usize, f64),
 }
 
 impl<'q> QuboDelta<'q> {
@@ -292,7 +225,7 @@ impl<'q> QuboDelta<'q> {
             x,
             fields,
             energy,
-            pending: None,
+            pending: (0, 0.0),
         }
     }
 }
@@ -314,44 +247,25 @@ impl DeltaEnergy for QuboDelta<'_> {
     }
 
     fn propose(&mut self, k: usize) -> f64 {
-        assert!(self.pending.is_none(), "proposal already pending");
         let delta = self.fields.flip_delta(&self.x, k);
-        self.pending = Some((k, self.energy));
-        self.x[k] = !self.x[k];
-        self.energy += delta;
+        self.pending = (k, delta);
         delta
     }
 
     fn commit(&mut self) {
-        let (k, _) = self.pending.take().expect("no pending proposal");
+        let (k, delta) = self.pending;
+        self.x[k] = !self.x[k];
+        self.energy += delta;
         self.fields.apply_flip(self.qubo, &self.x, k);
     }
 
-    fn revert(&mut self) {
-        let (k, old_energy) = self.pending.take().expect("no pending proposal");
-        self.x[k] = !self.x[k];
-        self.energy = old_energy;
-    }
-}
-
-/// Runs `runs` independent anneals (seeds `seed..seed+runs`) and returns
-/// all results (the emulated multi-read sampling of a QPU).
-///
-/// Uses the incremental (local-field) path; see [`anneal_incremental`].
-pub fn anneal_many(
-    qubo: &Qubo,
-    params: &AnnealParams,
-    runs: usize,
-    seed: u64,
-) -> Vec<AnnealResult> {
-    (0..runs)
-        .map(|k| anneal_incremental(qubo, params, seed.wrapping_add(k as u64)))
-        .collect()
+    fn revert(&mut self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnash_anneal::delta::FullEnergy;
 
     fn one_hot_qubo(n: usize) -> Qubo {
         let mut q = Qubo::new(n);
@@ -360,28 +274,35 @@ mod tests {
         q
     }
 
+    /// `count` reads of `q` under seeds `0..count`.
+    fn reads(q: &Qubo, p: &AnnealParams, count: u64) -> Vec<SaRun<Vec<bool>>> {
+        (0..count)
+            .map(|seed| anneal_incremental(q, p, seed))
+            .collect()
+    }
+
     #[test]
     fn finds_ground_state_of_one_hot() {
         let q = one_hot_qubo(8);
-        let r = anneal(&q, &AnnealParams::default(), 42);
+        let r = anneal_incremental(&q, &AnnealParams::default(), 42);
         assert_eq!(r.best_energy, 0.0);
-        assert_eq!(r.best_assignment.iter().filter(|&&b| b).count(), 1);
+        assert_eq!(r.best_state.iter().filter(|&&b| b).count(), 1);
     }
 
     #[test]
     fn energy_bookkeeping_consistent() {
         let q = one_hot_qubo(6);
-        let r = anneal(&q, &AnnealParams::new(50, 5.0, 0.1), 7);
-        assert!((q.energy(&r.best_assignment) - r.best_energy).abs() < 1e-9);
+        let r = anneal_incremental(&q, &AnnealParams::new(50, 5.0, 0.1), 7);
+        assert!((q.energy(&r.best_state) - r.best_energy).abs() < 1e-9);
     }
 
     #[test]
     fn deterministic_for_seed() {
         let q = one_hot_qubo(10);
         let p = AnnealParams::default();
-        let a = anneal(&q, &p, 5);
-        let b = anneal(&q, &p, 5);
-        assert_eq!(a.best_assignment, b.best_assignment);
+        let a = anneal_incremental(&q, &p, 5);
+        let b = anneal_incremental(&q, &p, 5);
+        assert_eq!(a.best_state, b.best_state);
         assert_eq!(a.accepted, b.accepted);
     }
 
@@ -389,8 +310,8 @@ mod tests {
     fn different_seeds_explore_differently() {
         let q = one_hot_qubo(10);
         let p = AnnealParams::default();
-        let a = anneal(&q, &p, 1);
-        let b = anneal(&q, &p, 2);
+        let a = anneal_incremental(&q, &p, 1);
+        let b = anneal_incremental(&q, &p, 2);
         // Ground energies agree; trajectories generally differ.
         assert_eq!(a.best_energy, b.best_energy);
         assert_ne!(a.accepted, b.accepted);
@@ -399,13 +320,12 @@ mod tests {
     #[test]
     fn anneal_many_distinct_runs() {
         let q = one_hot_qubo(5);
-        let rs = anneal_many(&q, &AnnealParams::default(), 10, 0);
-        assert_eq!(rs.len(), 10);
+        let rs = reads(&q, &AnnealParams::default(), 10);
         assert!(rs.iter().all(|r| r.best_energy == 0.0));
         // Different runs can land on different one-hot ground states.
         let winners: std::collections::HashSet<usize> = rs
             .iter()
-            .map(|r| r.best_assignment.iter().position(|&b| b).expect("one bit"))
+            .map(|r| r.best_state.iter().position(|&b| b).expect("one bit"))
             .collect();
         assert!(winners.len() > 1, "runs should diversify");
     }
@@ -414,8 +334,6 @@ mod tests {
     fn short_hot_anneal_is_worse_than_long_cold() {
         // Statistical sanity: frustrated random QUBO, compare mean best
         // energies.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(11);
         let n = 24;
         let mut q = Qubo::new(n);
@@ -426,13 +344,8 @@ mod tests {
         }
         let weak = AnnealParams::new(2, 50.0, 40.0);
         let strong = AnnealParams::new(200, 10.0, 0.01);
-        let mean = |p: &AnnealParams| {
-            anneal_many(&q, p, 20, 3)
-                .iter()
-                .map(|r| r.best_energy)
-                .sum::<f64>()
-                / 20.0
-        };
+        let mean =
+            |p: &AnnealParams| reads(&q, p, 20).iter().map(|r| r.best_energy).sum::<f64>() / 20.0;
         assert!(mean(&strong) < mean(&weak));
     }
 
@@ -445,10 +358,9 @@ mod tests {
     #[test]
     fn incremental_matches_full_scan_bitwise_on_exact_qubos() {
         // Integer (and dyadic) coefficients make every delta exact in
-        // f64, so the cached-field path must walk the same trajectory as
-        // the O(n)-scan path — not approximately: bitwise.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
+        // f64, so the cached-field read must walk the same trajectory as
+        // a read re-evaluating `Qubo::energy` per proposal — not
+        // approximately: bitwise.
         let mut rng = StdRng::seed_from_u64(9);
         for seed in 0..10u64 {
             let n = 16;
@@ -460,7 +372,18 @@ mod tests {
                 }
             }
             let p = AnnealParams::new(60, 8.0, 0.05);
-            let full = anneal(&q, &p, seed);
+            let full = anneal_with(n, &p, seed, |x| {
+                FullEnergy::new(
+                    x,
+                    |x: &Vec<bool>| q.energy(x),
+                    |x: &Vec<bool>, rng: &mut StdRng| {
+                        let mut y = x.clone();
+                        let k = rng.random_range(0..y.len());
+                        y[k] = !y[k];
+                        y
+                    },
+                )
+            });
             let inc = anneal_incremental(&q, &p, seed);
             assert_eq!(full, inc);
         }
@@ -493,24 +416,40 @@ mod tests {
 
     #[test]
     fn qubo_delta_propose_commit_revert() {
+        // What the driver relies on, read only between proposals: after
+        // `commit` the bit is flipped and the energy is exact; after
+        // `revert` state, energy and every cached field are unchanged.
         let q = one_hot_qubo(5);
         let mut eval = QuboDelta::new(&q, vec![false; 5]);
-        let e0 = eval.energy();
+        let snapshot = |e: &QuboDelta<'_>| {
+            let fields: Vec<u64> = (0..5).map(|k| e.fields.field(k).to_bits()).collect();
+            (e.state().clone(), e.energy().to_bits(), fields)
+        };
+        let before = snapshot(&eval);
         let delta = eval.propose(2);
-        assert!(eval.state()[2]);
         assert_eq!(delta, q.flip_delta(&[false; 5], 2));
         eval.revert();
-        assert_eq!(eval.energy(), e0);
-        assert_eq!(eval.state(), &vec![false; 5]);
-        let delta = eval.propose(2);
-        eval.commit();
-        assert!((eval.energy() - (e0 + delta)).abs() < 1e-12);
-        // Fields were refreshed on commit: the next delta is exact.
-        assert_eq!(
-            eval.propose(3),
-            q.flip_delta(&[false, false, true, false, false], 3)
-        );
-        eval.commit();
-        assert_eq!(eval.energy(), q.energy(eval.state()));
+        assert_eq!(snapshot(&eval), before);
+
+        for (k, state) in [
+            (2, [false, false, true, false, false]),
+            (3, [false, false, true, true, false]),
+            (2, [false, false, false, true, false]),
+        ] {
+            let prior = eval.state().clone();
+            let delta = eval.propose(k);
+            assert_eq!(delta, q.flip_delta(&prior, k));
+            eval.commit();
+            assert_eq!(eval.state().as_slice(), state.as_slice());
+            assert_eq!(eval.energy(), q.energy(&state));
+            // Fields were refreshed on commit: they match a rebuild, and
+            // a rejected proposal from here leaves them alone.
+            let fresh = LocalFields::new(&q, &state);
+            assert_eq!(eval.fields, fresh);
+            let committed = snapshot(&eval);
+            eval.propose((k + 1) % 5);
+            eval.revert();
+            assert_eq!(snapshot(&eval), committed);
+        }
     }
 }

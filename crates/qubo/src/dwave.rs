@@ -99,8 +99,7 @@ impl DWaveModel {
     /// Draws one sample (one annealing read + chain-break corruption).
     pub fn sample_once(&self, qubo: &Qubo, seed: u64) -> Vec<bool> {
         let params = AnnealParams::new(self.sweeps_per_read, self.t_max, self.t_min);
-        let result = anneal_incremental(qubo, &params, seed);
-        let mut x = result.best_assignment;
+        let mut x = anneal_incremental(qubo, &params, seed).best_state;
         let p_break = self.chain_break_probability(qubo.num_vars());
         if p_break > 0.0 {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE_BEEF_u64);

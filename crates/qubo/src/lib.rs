@@ -18,7 +18,9 @@
 //!   evaluation,
 //! * [`squbo`] — the Eq. 6 builder (per-row slacks, binary encodings for
 //!   `α`, `β`, `ζᵢ`, `ηⱼ`) and its decoder,
-//! * [`annealer`] — seeded single-flip simulated annealing over QUBOs,
+//! * [`annealer`] — seeded single-flip simulated-annealing reads over
+//!   QUBOs, run by `cnash-anneal`'s one Metropolis driver over the
+//!   local-field evaluator [`annealer::QuboDelta`],
 //! * [`topology`] / [`dwave`] — Chimera/Pegasus minor-embedding chain
 //!   models, chain-break noise, QPU access timing, and the two presets
 //!   `dwave_2000q()` / `advantage_4_1()` used as paper baselines,
@@ -29,12 +31,12 @@
 //! ```
 //! use cnash_game::games;
 //! use cnash_qubo::squbo::{SQubo, SQuboWeights};
-//! use cnash_qubo::annealer::{anneal, AnnealParams};
+//! use cnash_qubo::annealer::{anneal_incremental, AnnealParams};
 //!
 //! let game = games::battle_of_the_sexes();
 //! let squbo = SQubo::build(&game, &SQuboWeights::default()).expect("integer payoffs");
-//! let result = anneal(squbo.qubo(), &AnnealParams::default(), 7);
-//! let decoded = squbo.decode(&result.best_assignment);
+//! let result = anneal_incremental(squbo.qubo(), &AnnealParams::default(), 7);
+//! let decoded = squbo.decode(&result.best_state);
 //! // When the anneal reaches the S-QUBO ground state (energy 0), the
 //! // decoded profile is one of BoS's two pure equilibria.
 //! if result.best_energy.abs() < 1e-9 {
@@ -50,9 +52,7 @@ pub mod model;
 pub mod squbo;
 pub mod topology;
 
-pub use annealer::{
-    anneal, anneal_incremental, AnnealParams, AnnealResult, LocalFields, QuboDelta,
-};
+pub use annealer::{anneal_incremental, anneal_with, AnnealParams, QuboDelta};
 pub use dwave::DWaveModel;
 pub use model::Qubo;
 pub use squbo::{SQubo, SQuboWeights};

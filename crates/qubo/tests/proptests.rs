@@ -1,12 +1,34 @@
 //! Property-based tests of the QUBO machinery.
 
+use cnash_anneal::delta::{DeltaEnergy, FullEnergy};
+use cnash_anneal::engine::SaRun;
 use cnash_game::generators::random_integer_game;
 use cnash_game::{BimatrixGame, Matrix, MixedStrategy};
-use cnash_qubo::annealer::{anneal, AnnealParams};
+use cnash_qubo::annealer::{anneal_incremental, anneal_with, AnnealParams};
 use cnash_qubo::maxqubo::MaxQubo;
 use cnash_qubo::model::Qubo;
 use cnash_qubo::squbo::{SQubo, SQuboWeights};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
+
+/// `FullEnergy` over `Qubo::energy` at `x`, whose move flips one
+/// uniformly drawn bit — the move `QuboDelta` samples.
+fn full_energy(qubo: &Qubo, x: Vec<bool>) -> impl DeltaEnergy<State = Vec<bool>> + '_ {
+    let flip_random_bit = |x: &Vec<bool>, rng: &mut StdRng| {
+        let mut y = x.clone();
+        let k = rng.random_range(0..y.len());
+        y[k] = !y[k];
+        y
+    };
+    FullEnergy::new(x, |x: &Vec<bool>| qubo.energy(x), flip_random_bit)
+}
+
+/// One read of `q` re-evaluating `Qubo::energy` on every proposal: the
+/// full-evaluation reference of [`anneal_incremental`].
+fn anneal_full(q: &Qubo, params: &AnnealParams, seed: u64) -> SaRun<Vec<bool>> {
+    anneal_with(q.num_vars(), params, seed, |x| full_energy(q, x))
+}
 
 /// Arbitrary QUBO with small *integer* coefficients — every derived sum
 /// is exact in f64.
@@ -68,8 +90,8 @@ proptest! {
     /// always reach.
     #[test]
     fn annealer_bookkeeping(q in arb_qubo(10), seed in 0u64..100) {
-        let r = anneal(&q, &AnnealParams::new(50, 5.0, 0.1), seed);
-        prop_assert!((q.energy(&r.best_assignment) - r.best_energy).abs() < 1e-9);
+        let r = anneal_full(&q, &AnnealParams::new(50, 5.0, 0.1), seed);
+        prop_assert!((q.energy(&r.best_state) - r.best_energy).abs() < 1e-9);
     }
 
     /// S-QUBO QUBO expansion equals the direct Eq. 6 evaluation for any
@@ -128,16 +150,16 @@ proptest! {
     #[test]
     fn brute_force_is_global(q in arb_qubo(10), seed in 0u64..20) {
         let (_, emin) = q.brute_force_minimum();
-        let r = anneal(&q, &AnnealParams::new(30, 5.0, 0.1), seed);
+        let r = anneal_full(&q, &AnnealParams::new(30, 5.0, 0.1), seed);
         prop_assert!(r.best_energy >= emin - 1e-9);
     }
 
     /// **Delta-vs-full equivalence (QUBO hot path).** Over random
     /// integer-coefficient QUBOs — every coefficient and running sum
     /// exact in f64, the case produced by S-QUBO transformations of
-    /// integer games — the local-field incremental annealer and the
-    /// O(n)-scan full annealer return bit-identical results: best
-    /// energy, best assignment, trajectory statistics.
+    /// integer games — the local-field incremental read and the read
+    /// re-evaluating `Qubo::energy` per proposal return bit-identical
+    /// runs: best energy, best assignment, trajectory statistics.
     #[test]
     fn incremental_anneal_bit_identical_on_integer_qubos(
         q in arb_int_qubo(14),
@@ -145,8 +167,8 @@ proptest! {
         sweeps in 5usize..60,
     ) {
         let params = AnnealParams::new(sweeps, 8.0, 0.05);
-        let full = anneal(&q, &params, seed);
-        let inc = cnash_qubo::annealer::anneal_incremental(&q, &params, seed);
+        let full = anneal_full(&q, &params, seed);
+        let inc = anneal_incremental(&q, &params, seed);
         prop_assert_eq!(full, inc);
     }
 
@@ -161,27 +183,26 @@ proptest! {
         let game = random_integer_game(n, n, 6, game_seed).expect("valid");
         let s = SQubo::build(&game, &SQuboWeights::default()).expect("integer payoffs");
         let params = AnnealParams::new(40, 10.0, 0.05);
-        let full = anneal(s.qubo(), &params, seed);
-        let inc = cnash_qubo::annealer::anneal_incremental(s.qubo(), &params, seed);
+        let full = anneal_full(s.qubo(), &params, seed);
+        let inc = anneal_incremental(s.qubo(), &params, seed);
         prop_assert_eq!(full, inc);
     }
 
-    /// The generic incremental Metropolis driver over [`QuboDelta`]
-    /// walks bit-identical trajectories to the classic driver that
-    /// fully re-evaluates `Qubo::energy` on every proposal — the same
-    /// delta-vs-full contract the crossbar evaluator satisfies, through
-    /// the same `cnash-anneal` machinery.
+    /// The driver over [`QuboDelta`] walks bit-identical trajectories
+    /// to the driver over `FullEnergy`, which re-evaluates `Qubo::energy`
+    /// on every proposal, under a per-iteration schedule with hits and
+    /// trace recorded — the same delta-vs-full contract the crossbar
+    /// evaluator satisfies, through the same `cnash-anneal` driver.
     #[test]
     fn qubo_delta_generic_driver_matches_full_driver(
         q in arb_int_qubo(10),
         seed in 0u64..30,
     ) {
         use cnash_anneal::delta::simulated_annealing_delta;
-        use cnash_anneal::engine::{simulated_annealing, SaOptions};
+        use cnash_anneal::engine::SaOptions;
         use cnash_anneal::Schedule;
         use cnash_qubo::QuboDelta;
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
+        use rand::SeedableRng;
 
         let init: Vec<bool> = {
             let mut r = StdRng::seed_from_u64(seed ^ 0xF00D);
@@ -195,17 +216,8 @@ proptest! {
             record_trace: true,
             record_hits: true,
         };
-        let full = simulated_annealing(
-            init.clone(),
-            |x: &Vec<bool>| q.energy(x),
-            |x, rng| {
-                let k = rng.random_range(0..x.len());
-                let mut y = x.clone();
-                y[k] = !y[k];
-                y
-            },
-            &opts,
-        );
+        let mut reference = full_energy(&q, init.clone());
+        let full = simulated_annealing_delta(&mut reference, &opts);
         let mut eval = QuboDelta::new(&q, init);
         let delta = simulated_annealing_delta(&mut eval, &opts);
         prop_assert_eq!(full, delta);
@@ -220,8 +232,8 @@ proptest! {
         seed in 0u64..20,
     ) {
         let params = AnnealParams::new(30, 5.0, 0.1);
-        let r = cnash_qubo::annealer::anneal_incremental(&q, &params, seed);
-        prop_assert!((q.energy(&r.best_assignment) - r.best_energy).abs() < 1e-6);
+        let r = anneal_incremental(&q, &params, seed);
+        prop_assert!((q.energy(&r.best_state) - r.best_energy).abs() < 1e-6);
     }
 }
 

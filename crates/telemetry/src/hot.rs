@@ -9,25 +9,28 @@
 //! assertions against these metrics should therefore check deltas or
 //! monotonicity, not absolute counts.
 //!
-//! The annealer records its per-run aggregates **once at the end of a
-//! run** (a handful of relaxed adds per `simulated_annealing` call),
-//! never inside the sweep loop: the hot path itself stays untouched,
-//! which is how solver output stays bit-identical with telemetry on or
-//! off (property-tested in `tests/telemetry_identity.rs`).
+//! The annealer metrics are recorded by `cnash-core` **once per finished
+//! run**, from the run the annealing driver returns (a handful of
+//! relaxed adds per C-Nash or ideal-evaluation run), never inside the
+//! sweep loop: the hot path itself stays untouched, which is how solver
+//! output stays bit-identical with telemetry on or off
+//! (property-tested in `tests/telemetry_identity.rs`). Emulated D-Wave
+//! reads run the same driver but are not counted.
 
 use crate::counter::Counter;
 use crate::events::EventLog;
 use crate::hist::Histogram;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Completed simulated-annealing driver invocations (full or delta).
-/// Each invocation is one *restart* in the paper's restart-TTS sense
-/// (Fig. 10): solvers reach a target confidence by re-running the
-/// annealer under fresh seeds, and this counts those re-runs.
+/// Completed C-Nash and ideal-evaluation annealing runs (emulated
+/// D-Wave reads are not counted). Each run is one *restart* in the
+/// paper's restart-TTS sense (Fig. 10): solvers reach a target
+/// confidence by re-running the annealer under fresh seeds, and this
+/// counts those re-runs.
 pub static SA_RUNS: Counter = Counter::new();
-/// Total SA sweeps (iterations) across all runs.
+/// Total SA iterations across the runs [`SA_RUNS`] counts.
 pub static SA_SWEEPS: Counter = Counter::new();
-/// Total accepted Metropolis moves across all runs.
+/// Total accepted Metropolis moves across the runs [`SA_RUNS`] counts.
 pub static SA_ACCEPTS: Counter = Counter::new();
 
 /// Tasks executed by `fan_out_ordered` workers.
@@ -62,15 +65,15 @@ pub fn worker_folds() -> Vec<u64> {
         .collect()
 }
 
-/// Sampled SA energy-trajectory trace (kind `"sa_energy"`); fed only
-/// when [`sa_trace_interval`] is nonzero.
+/// Sampled SA energy-trajectory trace (kind `"sa_energy"`) of the runs
+/// [`SA_RUNS`] counts; fed only when [`sa_trace_interval`] is nonzero.
 pub static SA_TRACE: EventLog = EventLog::new(1024);
 
 /// Sweep-sampling interval for the energy trace; 0 disables tracing.
 static SA_TRACE_INTERVAL: AtomicU64 = AtomicU64::new(0);
 
-/// Sets the energy-trace sampling interval (record every `n`-th sweep;
-/// 0 turns the trace off). Drivers read this **once per run**, so a
+/// Sets the energy-trace sampling interval (record every `n`-th
+/// iteration; 0 turns the trace off). It is read **once per run**, so a
 /// mid-run change applies from the next run.
 pub fn set_sa_trace_interval(n: u64) {
     SA_TRACE_INTERVAL.store(n, Ordering::Relaxed);
