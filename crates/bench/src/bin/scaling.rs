@@ -39,7 +39,7 @@ fn main() {
         let mut approx = 0usize;
         for k in 0..runs {
             let out = solver.run(cli.seed.wrapping_add(k as u64));
-            let (p, q) = out.into_pair().expect("C-Nash always returns a profile");
+            let (p, q) = out.profile.expect("C-Nash always returns a profile");
             if game.is_equilibrium(&p, &q, 1e-6) {
                 exact += 1;
             }

@@ -73,7 +73,7 @@ use cnash_game::equilibrium::continuum_representatives;
 use cnash_game::exact_enum::{enumerate_exact, exact_profile_regret};
 use cnash_game::lemke_howson::lemke_howson_all_labels;
 use cnash_game::support_enum::{enumerate_equilibria, MAX_ENUM_ACTIONS};
-use cnash_game::{BimatrixGame, Equilibrium, Game, Matrix, MixedStrategy, Profile, SupportClass};
+use cnash_game::{BimatrixGame, Equilibrium, Game, Matrix, MixedStrategy, SupportClass};
 use cnash_runtime::pool::fan_out_ordered;
 use cnash_runtime::spec::{BatchSpec, ConfigSpec, GameSpec, JobSpec, SolverSpec};
 use cnash_runtime::{CancelToken, Json, PortfolioStop, SpecError};
@@ -88,7 +88,7 @@ use std::time::Instant;
 pub const CLAIM_TOL: f64 = 1e-6;
 /// Tolerance for oracle cross-checks (Lemke–Howson's own filter).
 pub const ORACLE_TOL: f64 = 1e-7;
-/// Profile tolerance when matching a hit against the enumerated set.
+/// Strategy-pair tolerance when matching a hit against the enumerated set.
 pub const MATCH_TOL: f64 = 1e-4;
 /// Payoff-tie slack when computing best-response closures
 /// (support-pair classes for continuum matching).
@@ -183,8 +183,8 @@ pub fn family_grid(opts: &DiffOptions) -> Vec<GameSpec> {
 
 /// The solver suite swept per grid point: both C-Nash presets, the
 /// S-QUBO baseline, and the classical CFR column (external-sampling
-/// regret matching through the generic `Game` trait — its per-point
-/// exploitability is gated by [`CFR_EXPLOITABILITY_TOL`]).
+/// regret matching — its per-point exploitability is gated by
+/// [`CFR_EXPLOITABILITY_TOL`] on the quick grid).
 pub fn solver_suite(opts: &DiffOptions) -> Vec<SolverSpec> {
     let iterations = if opts.quick { 800 } else { 3000 };
     let cfr_iterations = if opts.quick { 20_000 } else { 60_000 };
@@ -476,14 +476,9 @@ impl NashSolver for CorruptingSolver {
     fn run(&self, seed: u64) -> cnash_core::RunOutcome {
         let mut out = self.inner.run(seed);
         if out.is_equilibrium {
-            if let Some((_, q)) = out.profile.take().and_then(Profile::into_pair) {
-                let game = self
-                    .inner
-                    .game()
-                    .as_bimatrix()
-                    .expect("diffcheck sweeps bimatrix games");
-                let lie = worst_response(game, &q);
-                out.profile = Some(Profile::pair(lie, q));
+            if let Some((_, q)) = out.profile.take() {
+                let lie = worst_response(self.inner.game().bimatrix(), &q);
+                out.profile = Some((lie, q));
             }
         }
         out
@@ -957,7 +952,7 @@ fn check_run(
         *cfr_best = Some(cfr_best.map_or(x, |best| best.min(x)));
     }
     let claimed = out.is_equilibrium;
-    let Some((p, q)) = out.profile.and_then(Profile::into_pair) else {
+    let Some((p, q)) = out.profile else {
         counters.missed_runs += 1;
         return None;
     };

@@ -2,7 +2,7 @@
 
 use crate::error::CoreError;
 use crate::solver::{NashSolver, RunOutcome};
-use cnash_game::{BimatrixGame, Game, Profile};
+use cnash_game::{BimatrixGame, Game};
 use cnash_qubo::dwave::DWaveModel;
 use cnash_qubo::squbo::{SQubo, SQuboWeights};
 use std::sync::Arc;
@@ -27,21 +27,17 @@ impl DWaveNashSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SQubo`] if the game's payoffs cannot be
-    /// binary-encoded (non-integer after offsetting).
+    /// Returns [`CoreError::InvalidConfig`] if `reads_per_run` is zero
+    /// (a run returns its best read), and [`CoreError::SQubo`] if the
+    /// game's payoffs cannot be binary-encoded (non-integer after
+    /// offsetting).
     pub fn new(
         game: &BimatrixGame,
         model: DWaveModel,
         reads_per_run: usize,
     ) -> Result<Self, CoreError> {
         let squbo = SQubo::build(game, &SQuboWeights::default())?;
-        Ok(Self {
-            name: model.name.clone(),
-            game: game.clone(),
-            model,
-            squbo: Arc::new(squbo),
-            reads_per_run,
-        })
+        Self::from_programmed(game, model, reads_per_run, Arc::new(squbo))
     }
 
     /// Shares this solver's programmed S-QUBO instance (cheap: an `Arc`
@@ -59,14 +55,19 @@ impl DWaveNashSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if the S-QUBO's shape does
-    /// not match the game.
+    /// Returns [`CoreError::InvalidConfig`] if `reads_per_run` is zero
+    /// or the S-QUBO's shape does not match the game.
     pub fn from_programmed(
         game: &BimatrixGame,
         model: DWaveModel,
         reads_per_run: usize,
         squbo: Arc<SQubo>,
     ) -> Result<Self, CoreError> {
+        if reads_per_run == 0 {
+            return Err(CoreError::InvalidConfig(
+                "dwave needs reads_per_run > 0".into(),
+            ));
+        }
         let dims = (game.row_actions(), game.col_actions());
         if squbo.shape() != dims {
             return Err(CoreError::InvalidConfig(format!(
@@ -132,7 +133,7 @@ impl NashSolver for DWaveNashSolver {
                     if first_true_hit.is_none() {
                         first_true_hit = Some(k);
                     }
-                    solutions.record(&Profile::pair(p, q));
+                    solutions.record(&(p, q));
                 }
             }
         }
@@ -145,7 +146,7 @@ impl NashSolver for DWaveNashSolver {
             .map(|(p, q)| self.game.is_equilibrium(p, q, 1e-9))
             .unwrap_or(false);
         RunOutcome {
-            profile: decoded.profile.map(|(p, q)| Profile::pair(p, q)),
+            profile: decoded.profile,
             is_equilibrium: is_eq,
             hit_time: first_true_hit
                 .map(|k| self.model.programming_time + (k + 1) as f64 * self.per_read_time()),
@@ -170,7 +171,7 @@ mod tests {
         let s = DWaveNashSolver::new(&g, DWaveModel::dwave_2000q(), 50).unwrap();
         let out = s.run(1);
         assert!(out.is_equilibrium, "2000Q should solve BoS easily");
-        let (p, q) = out.into_pair().expect("decoded");
+        let (p, q) = out.profile.expect("decoded");
         let eq = Equilibrium::from_profile(&g, p, q);
         // Baselines can only ever return pure profiles.
         assert_eq!(eq.kind(1e-9), StrategyKind::Pure);
@@ -200,12 +201,29 @@ mod tests {
     }
 
     #[test]
+    fn zero_reads_per_run_is_rejected_by_both_constructors() {
+        let g = games::battle_of_the_sexes();
+        let expect_invalid = |r: Result<DWaveNashSolver, CoreError>| match r {
+            Err(CoreError::InvalidConfig(msg)) => assert!(msg.contains("reads_per_run"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        };
+        expect_invalid(DWaveNashSolver::new(&g, DWaveModel::dwave_2000q(), 0));
+        let cold = DWaveNashSolver::new(&g, DWaveModel::dwave_2000q(), 1).unwrap();
+        expect_invalid(DWaveNashSolver::from_programmed(
+            &g,
+            DWaveModel::dwave_2000q(),
+            0,
+            cold.programmed(),
+        ));
+    }
+
+    #[test]
     fn never_returns_mixed_profiles() {
         // Structural lossiness: strategies are single bits.
         let g = games::bird_game();
         let s = DWaveNashSolver::new(&g, DWaveModel::advantage_4_1(), 10).unwrap();
         for seed in 0..10 {
-            if let Some((p, q)) = s.run(seed).into_pair() {
+            if let Some((p, q)) = s.run(seed).profile {
                 assert!(p.is_pure(1e-9) && q.is_pure(1e-9));
             }
         }

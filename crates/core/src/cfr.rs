@@ -1,15 +1,15 @@
 //! Counterfactual-regret solver family (extension): external-sampling
-//! regret matching over the generic [`Game`] trait.
+//! regret matching on a [`BimatrixGame`].
 //!
-//! [`CfrSolver`] is the first solver in the workspace written against
-//! [`Game`] alone — it never downcasts to a bimatrix view, so it runs
-//! unchanged on any N-player strategic-form game. Each iteration samples
-//! every opponent's action from their current regret-matching strategy
-//! (external sampling, Lanctot et al. 2009), updates clipped cumulative
-//! regrets (RM+, Tammelin 2014), and folds the current strategy into a
-//! linearly weighted average. The average profile converges to the
-//! coarse-correlated-equilibrium set; for the two-player slice this is
-//! cross-checked against the exact oracles by the `diffcheck` harness.
+//! Each iteration samples both players' actions from their current
+//! regret-matching strategies (external sampling, Lanctot et al. 2009),
+//! lets the row and then the column player traverse against the other's
+//! sampled action, updates clipped cumulative regrets (RM+, Tammelin
+//! 2014), and folds the current strategies into linearly weighted
+//! averages. The average pair converges to the coarse-correlated-
+//! equilibrium set — to a Nash equilibrium in zero-sum games, but not in
+//! general-sum ones; the `diffcheck` harness cross-checks it against the
+//! exact oracles.
 //!
 //! # Claim discipline
 //!
@@ -17,20 +17,20 @@
 //! the solver never claims it as an equilibrium. Instead it keeps two
 //! candidates per checkpoint:
 //!
-//! * the **best average iterate** — the checkpointed average profile
-//!   with the lowest exact exploitability seen so far, returned with
-//!   `is_equilibrium: false` and the exploitability as
+//! * the **best average iterate** — the checkpointed average pair with
+//!   the lowest exact exploitability ([`BimatrixGame::nash_gap`]) seen so
+//!   far, returned with `is_equilibrium: false` and the exploitability as
 //!   `measured_objective`, and
-//! * the **pure snap** — the per-player argmax of the average strategy,
-//!   claimed (`is_equilibrium: true`) only when its exact per-player
-//!   regrets are within [`CfrConfig::claim_tolerance`]. Pure profiles
-//!   evaluate exactly in floating point, so a claim is a certificate,
-//!   not a heuristic; the run stops at the claiming checkpoint.
+//! * the **pure snap** — each player's argmax of the average strategy,
+//!   claimed (`is_equilibrium: true`) only when both exact regrets are
+//!   within [`CfrConfig::claim_tolerance`]. Pure profiles evaluate
+//!   exactly in floating point, so a claim is a certificate, not a
+//!   heuristic; the run stops at the claiming checkpoint.
 
 use crate::error::CoreError;
 use crate::solver::{NashSolver, RunOutcome};
 use cnash_anneal::engine::HitRecorder;
-use cnash_game::{Game, MixedStrategy, Profile};
+use cnash_game::{BimatrixGame, Game, MixedStrategy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -76,9 +76,9 @@ impl Default for CfrConfig {
     }
 }
 
-/// External-sampling CFR solver over any [`Game`].
+/// External-sampling CFR solver on one bimatrix game.
 pub struct CfrSolver {
-    game: Box<dyn Game>,
+    game: BimatrixGame,
     config: CfrConfig,
 }
 
@@ -87,25 +87,15 @@ impl CfrSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if `iterations` is zero, the
-    /// game has no players, or any player has an empty action set.
-    pub fn new(game: Box<dyn Game>, config: CfrConfig) -> Result<Self, CoreError> {
+    /// Returns [`CoreError::InvalidConfig`] if `iterations` is zero.
+    pub fn new(game: &BimatrixGame, config: CfrConfig) -> Result<Self, CoreError> {
         if config.iterations == 0 {
             return Err(CoreError::InvalidConfig("cfr needs iterations > 0".into()));
         }
-        if game.players() == 0 {
-            return Err(CoreError::InvalidConfig(
-                "cfr needs at least 1 player".into(),
-            ));
-        }
-        for p in 0..game.players() {
-            if game.num_actions(p) == 0 {
-                return Err(CoreError::InvalidConfig(format!(
-                    "cfr needs a non-empty action set for player {p}"
-                )));
-            }
-        }
-        Ok(Self { game, config })
+        Ok(Self {
+            game: game.clone(),
+            config,
+        })
     }
 
     /// The configuration in effect.
@@ -136,42 +126,54 @@ impl CfrSolver {
         strategy.len() - 1
     }
 
-    /// Normalises the weighted strategy sums into a [`Profile`].
-    fn average_profile(sums: &[Vec<f64>]) -> Profile {
-        let strategies = sums
-            .iter()
-            .map(|s| {
-                let total: f64 = s.iter().sum();
-                MixedStrategy::new(s.iter().map(|w| w / total).collect())
-                    .expect("weighted sums normalise to a distribution")
-            })
-            .collect();
-        Profile::new(strategies).expect("game has at least one player")
+    /// One traverser's update at iteration `t`: RM+ regrets against the
+    /// sampled opponent action (`utilities` per own action), then the
+    /// linearly weighted strategy sum.
+    fn traverse(
+        regrets: &mut [f64],
+        sums: &mut [f64],
+        strategy: &[f64],
+        utilities: &[f64],
+        t: usize,
+    ) {
+        let node_value: f64 = strategy.iter().zip(utilities).map(|(w, u)| w * u).sum();
+        for (a, u) in utilities.iter().enumerate() {
+            // RM+: clip cumulative regrets at zero.
+            regrets[a] = (regrets[a] + u - node_value).max(0.0);
+        }
+        // Linear averaging: later iterates dominate the average.
+        for (a, w) in strategy.iter().enumerate() {
+            sums[a] += t as f64 * w;
+        }
     }
 
-    /// Per-player argmax of the average, as a pure profile.
-    fn pure_snap(sums: &[Vec<f64>]) -> Profile {
-        let strategies = sums
-            .iter()
-            .map(|s| {
-                let mut best = 0;
-                for (a, w) in s.iter().enumerate() {
-                    if *w > s[best] {
-                        best = a;
-                    }
-                }
-                MixedStrategy::pure(s.len(), best).expect("argmax is in range")
-            })
-            .collect();
-        Profile::new(strategies).expect("game has at least one player")
+    /// Normalises one player's weighted strategy sums.
+    fn average(sums: &[f64]) -> MixedStrategy {
+        let total: f64 = sums.iter().sum();
+        MixedStrategy::new(sums.iter().map(|w| w / total).collect())
+            .expect("weighted sums normalise to a distribution")
     }
 
-    /// Largest exact per-player regret of `profile` (∞-norm, not the
-    /// exploitability sum — claims bound every player individually).
-    fn max_regret(&self, profile: &Profile) -> f64 {
-        (0..self.game.players())
-            .map(|p| self.game.regret(p, profile))
-            .fold(0.0, f64::max)
+    /// The argmax of one player's average, as a pure strategy.
+    fn pure_snap(sums: &[f64]) -> MixedStrategy {
+        let mut best = 0;
+        for (a, w) in sums.iter().enumerate() {
+            if *w > sums[best] {
+                best = a;
+            }
+        }
+        MixedStrategy::pure(sums.len(), best).expect("argmax is in range")
+    }
+
+    /// Larger exact regret of the pair (∞-norm, not the exploitability
+    /// sum — claims bound each player individually).
+    fn max_regret(&self, p: &MixedStrategy, q: &MixedStrategy) -> f64 {
+        let (row, col) = self.game.regrets(p, q).expect("pair matches the game");
+        [row, col].into_iter().fold(0.0, f64::max)
+    }
+
+    fn exploitability(&self, p: &MixedStrategy, q: &MixedStrategy) -> f64 {
+        self.game.nash_gap(p, q).expect("pair matches the game")
     }
 }
 
@@ -181,67 +183,43 @@ impl NashSolver for CfrSolver {
     }
 
     fn game(&self) -> &dyn Game {
-        self.game.as_ref()
+        &self.game
     }
 
     fn run(&self, seed: u64) -> RunOutcome {
-        let game = self.game.as_ref();
-        let players = game.players();
+        let (m, n) = (self.game.row_payoffs(), self.game.col_payoffs());
         let mut rng = StdRng::seed_from_u64(seed ^ CFR_SEED_TAG);
-        let mut regrets: Vec<Vec<f64>> = (0..players)
-            .map(|p| vec![0.0; game.num_actions(p)])
-            .collect();
-        let mut sums: Vec<Vec<f64>> = (0..players)
-            .map(|p| vec![0.0; game.num_actions(p)])
-            .collect();
+        let mut row_regrets = vec![0.0; self.game.row_actions()];
+        let mut col_regrets = vec![0.0; self.game.col_actions()];
+        let mut row_sums = row_regrets.clone();
+        let mut col_sums = col_regrets.clone();
         let every = (self.config.iterations / self.config.checkpoints.max(1)).max(1);
 
-        let mut best: Option<(Profile, f64)> = None;
-        let mut claim: Option<(Profile, usize)> = None;
+        type Pair = (MixedStrategy, MixedStrategy);
+        let mut best: Option<(Pair, f64)> = None;
+        let mut claim: Option<(Pair, usize)> = None;
         let mut solutions = HitRecorder::new(true);
         let mut ran = 0;
 
         for t in 1..=self.config.iterations {
             ran = t;
-            let strategies: Vec<Vec<f64>> =
-                regrets.iter().map(|r| Self::matched_strategy(r)).collect();
+            let row = Self::matched_strategy(&row_regrets);
+            let col = Self::matched_strategy(&col_regrets);
             // External sampling: one joint pure draw from the current
-            // strategies serves every traverser this iteration.
-            let sampled: Vec<usize> = strategies
-                .iter()
-                .map(|s| Self::sample(s, &mut rng))
-                .collect();
-            for p in 0..players {
-                let mut actions = sampled.clone();
-                let utilities: Vec<f64> = (0..game.num_actions(p))
-                    .map(|a| {
-                        actions[p] = a;
-                        game.pure_payoff(p, &actions)
-                    })
-                    .collect();
-                let node_value: f64 = strategies[p]
-                    .iter()
-                    .zip(&utilities)
-                    .map(|(w, u)| w * u)
-                    .sum();
-                for (a, u) in utilities.iter().enumerate() {
-                    // RM+: clip cumulative regrets at zero.
-                    regrets[p][a] = (regrets[p][a] + u - node_value).max(0.0);
-                }
-                // Linear averaging: later iterates dominate the average.
-                for (a, w) in strategies[p].iter().enumerate() {
-                    sums[p][a] += t as f64 * w;
-                }
-            }
+            // strategies serves both traversers this iteration.
+            let i = Self::sample(&row, &mut rng);
+            let j = Self::sample(&col, &mut rng);
+            Self::traverse(&mut row_regrets, &mut row_sums, &row, &m.col(j), t);
+            Self::traverse(&mut col_regrets, &mut col_sums, &col, n.row(i), t);
             if t % every == 0 || t == self.config.iterations {
-                let snap = Self::pure_snap(&sums);
-                if self.max_regret(&snap) <= self.config.claim_tolerance {
+                let snap = (Self::pure_snap(&row_sums), Self::pure_snap(&col_sums));
+                if self.max_regret(&snap.0, &snap.1) <= self.config.claim_tolerance {
                     solutions.record(&snap);
                     claim = Some((snap, t));
                     break;
                 }
-                let average = Self::average_profile(&sums);
-                let exploitability = game.exploitability(&average);
+                let average = (Self::average(&row_sums), Self::average(&col_sums));
+                let exploitability = self.exploitability(&average.0, &average.1);
                 if best.as_ref().is_none_or(|(_, e)| exploitability < *e) {
                     best = Some((average, exploitability));
                 }
@@ -251,18 +229,15 @@ impl NashSolver for CfrSolver {
         let (solutions, solutions_truncated) = solutions.into_parts();
         let total_time = ran as f64 * CFR_ITERATION_TIME;
         match claim {
-            Some((snap, t)) => {
-                let objective = game.exploitability(&snap);
-                RunOutcome {
-                    profile: Some(snap),
-                    is_equilibrium: true,
-                    hit_time: Some(t as f64 * CFR_ITERATION_TIME),
-                    total_time,
-                    measured_objective: objective,
-                    solutions,
-                    solutions_truncated,
-                }
-            }
+            Some((snap, t)) => RunOutcome {
+                measured_objective: self.exploitability(&snap.0, &snap.1),
+                profile: Some(snap),
+                is_equilibrium: true,
+                hit_time: Some(t as f64 * CFR_ITERATION_TIME),
+                total_time,
+                solutions,
+                solutions_truncated,
+            },
             None => {
                 let (average, exploitability) = best.expect("final iteration always checkpoints");
                 RunOutcome {
@@ -284,8 +259,8 @@ mod tests {
     use super::*;
     use cnash_game::games;
 
-    fn solver(game: impl Game + 'static, iterations: usize) -> CfrSolver {
-        CfrSolver::new(Box::new(game), CfrConfig::new(iterations)).unwrap()
+    fn solver(game: BimatrixGame, iterations: usize) -> CfrSolver {
+        CfrSolver::new(&game, CfrConfig::new(iterations)).unwrap()
     }
 
     #[test]
@@ -295,7 +270,7 @@ mod tests {
         assert!(out.is_equilibrium);
         assert!(out.hit_time.is_some());
         assert!(out.measured_objective.abs() < 1e-12);
-        let (p, q) = out.pair().expect("bimatrix profile");
+        let (p, q) = out.pair().expect("profile");
         assert_eq!(p.pure_action(1e-9), Some(1), "defect is dominant");
         assert_eq!(q.pure_action(1e-9), Some(1));
     }
@@ -307,7 +282,7 @@ mod tests {
         for seed in 0..5 {
             let out = s.run(seed);
             if out.is_equilibrium {
-                let (p, q) = out.pair().expect("bimatrix profile");
+                let (p, q) = out.pair().expect("profile");
                 assert!(g.is_equilibrium(p, q, 1e-12));
             }
         }
@@ -326,7 +301,7 @@ mod tests {
             "exploitability {}",
             out.measured_objective
         );
-        let (p, _) = out.pair().expect("bimatrix profile");
+        let (p, _) = out.pair().expect("profile");
         assert!((p.prob(0) - 0.5).abs() < 0.05);
     }
 
@@ -337,47 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn solves_a_three_player_game_through_the_trait() {
-        // Pure coordination for three players: payoff 1 iff everyone
-        // picks the same action. No bimatrix view exists, which is the
-        // point — CFR runs on the trait alone.
-        struct Coordination3;
-        impl Game for Coordination3 {
-            fn name(&self) -> &str {
-                "coordination-3p"
-            }
-            fn players(&self) -> usize {
-                3
-            }
-            fn num_actions(&self, _player: usize) -> usize {
-                2
-            }
-            fn pure_payoff(&self, _player: usize, actions: &[usize]) -> f64 {
-                if actions.iter().all(|a| *a == actions[0]) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            fn fingerprint(&self) -> u64 {
-                3
-            }
-        }
-        let s = solver(Coordination3, 10_000);
-        assert!(s.game().as_bimatrix().is_none());
-        let out = s.run(1);
-        assert!(out.is_equilibrium, "3-player coordination has pure NEs");
-        let profile = out.profile.expect("profile");
-        assert_eq!(profile.players(), 3);
-        let first = profile.strategy(0).pure_action(1e-9);
-        assert!(first.is_some());
-        for p in 1..3 {
-            assert_eq!(profile.strategy(p).pure_action(1e-9), first);
-        }
-    }
-
-    #[test]
     fn rejects_bad_configs() {
-        assert!(CfrSolver::new(Box::new(games::bird_game()), CfrConfig::new(0)).is_err());
+        assert!(CfrSolver::new(&games::bird_game(), CfrConfig::new(0)).is_err());
     }
 }

@@ -15,7 +15,7 @@
 use crate::solver::{NashSolver, RunOutcome};
 use crate::timing::tts99;
 use cnash_game::equilibrium::{coverage, StrategyKind};
-use cnash_game::{BimatrixGame, Equilibrium, Game};
+use cnash_game::{BimatrixGame, Equilibrium};
 
 /// Per-run solution classification tallies (Fig. 8 buckets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,7 +112,7 @@ impl ExperimentRunner {
 
     /// Evaluates `solver` against `ground_truth` equilibria of its game.
     pub fn evaluate(&self, solver: &dyn NashSolver, ground_truth: &[Equilibrium]) -> GameReport {
-        let mut acc = ReportAccumulator::new(solver.name(), solver.game());
+        let mut acc = ReportAccumulator::new(solver.name(), solver.game().bimatrix());
         for k in 0..self.runs {
             acc.fold(&solver.run(self.base_seed.wrapping_add(k as u64)));
         }
@@ -143,26 +143,15 @@ pub struct ReportAccumulator {
 }
 
 impl ReportAccumulator {
-    /// Profile-matching tolerance used for classification, dedup and
+    /// Strategy-pair matching tolerance used for classification, dedup and
     /// coverage (the paper's exact-verification epsilon).
     pub const TOL: f64 = 1e-6;
 
     /// Creates an empty accumulator for a (solver, game) pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `game` is not bimatrix — the report's classification
-    /// buckets (pure/mixed kinds, coverage against enumeration oracles)
-    /// are defined on two-player strategic form. N-player game kinds
-    /// need their own report shape before they can ride this
-    /// accumulator.
-    pub fn new(solver_name: &str, game: &dyn Game) -> Self {
+    pub fn new(solver_name: &str, game: &BimatrixGame) -> Self {
         Self {
             solver: solver_name.to_string(),
-            game: game
-                .as_bimatrix()
-                .expect("report accumulator requires a bimatrix game")
-                .clone(),
+            game: game.clone(),
             dist: SolutionDistribution::default(),
             distinct: Vec::new(),
             successes: 0,
@@ -184,13 +173,8 @@ impl ReportAccumulator {
         self.folded += 1;
         self.run_time_sum += out.total_time;
         self.hits_truncated |= out.solutions_truncated;
-        let verified = out.is_equilibrium
-            && match out.pair() {
-                Some((p, q)) => self.game.is_equilibrium(p, q, Self::TOL),
-                None => false,
-            };
-        match (out.pair(), verified) {
-            (Some((p, q)), true) => {
+        match out.pair() {
+            Some((p, q)) if out.is_equilibrium && self.game.is_equilibrium(p, q, Self::TOL) => {
                 self.successes += 1;
                 let eq = Equilibrium::from_profile(&self.game, p.clone(), q.clone());
                 match eq.kind(Self::TOL) {
@@ -207,10 +191,7 @@ impl ReportAccumulator {
         }
         // Every solver-flagged solution the run passed through counts
         // toward coverage, after exact verification.
-        for profile in &out.solutions {
-            let Some((p, q)) = profile.as_pair() else {
-                continue;
-            };
+        for (p, q) in &out.solutions {
             if self.game.is_equilibrium(p, q, Self::TOL) {
                 let eq = Equilibrium::from_profile(&self.game, p.clone(), q.clone());
                 self.insert_distinct(eq);

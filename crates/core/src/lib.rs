@@ -18,10 +18,9 @@
 //!
 //! Baselines ([`baselines`]) run the lossy S-QUBO transformation on
 //! emulated D-Wave annealers (`cnash-qubo`); [`cfr`] adds a classical
-//! external-sampling CFR baseline written against the generic
-//! `cnash_game::Game` trait. [`experiment`] reproduces the
-//! paper's evaluation artefacts (Table 1, Figs. 8–10); [`timing`] holds
-//! the CiM and QPU time models.
+//! external-sampling CFR baseline on the same bimatrix games.
+//! [`experiment`] reproduces the paper's evaluation artefacts (Table 1,
+//! Figs. 8–10); [`timing`] holds the CiM and QPU time models.
 //!
 //! # Quickstart
 //!
@@ -33,7 +32,7 @@
 //! let game = games::battle_of_the_sexes();
 //! let solver = CNashSolver::new(&game, CNashConfig::ideal(12), 42)?;
 //! let run = solver.run(7);
-//! let (p, q) = run.into_pair().expect("C-Nash always returns a profile");
+//! let (p, q) = run.profile.expect("C-Nash always returns a profile");
 //! assert!(game.is_equilibrium(&p, &q, 1e-6));
 //! # Ok(())
 //! # }

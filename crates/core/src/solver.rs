@@ -7,7 +7,7 @@ use cnash_anneal::delta::{simulated_annealing_delta, DeltaEnergy, FullEnergy};
 use cnash_anneal::engine::SaOptions;
 use cnash_anneal::moves::GridStrategyPair;
 use cnash_crossbar::{BiCrossbar, DeltaBiCrossbar, PhaseOneMax};
-use cnash_game::{BimatrixGame, Game, MixedStrategy, Profile};
+use cnash_game::{BimatrixGame, Game, MixedStrategy};
 use cnash_telemetry::hot;
 use cnash_wta::WtaTree;
 use rand::rngs::StdRng;
@@ -17,10 +17,11 @@ use std::sync::Arc;
 /// Outcome of one solver run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
-    /// The best strategy profile returned by the run (`None` when a
-    /// baseline's decoded assignment violates the one-hot constraints —
-    /// an "error solution" in the paper's Fig. 8 vocabulary).
-    pub profile: Option<Profile>,
+    /// The best `(row, col)` strategy pair returned by the run (`None`
+    /// when a baseline's decoded assignment violates the one-hot
+    /// constraints — an "error solution" in the paper's Fig. 8
+    /// vocabulary).
+    pub profile: Option<(MixedStrategy, MixedStrategy)>,
     /// Exact (software-verified) equilibrium check of the profile.
     pub is_equilibrium: bool,
     /// Model time until the solver first *detected* a solution (s).
@@ -33,7 +34,7 @@ pub struct RunOutcome {
     /// All distinct candidate solutions the run *passed through* (states
     /// the solver's own detector flagged). One run can discover several
     /// equilibria; Fig. 9 coverage unions these across runs.
-    pub solutions: Vec<Profile>,
+    pub solutions: Vec<(MixedStrategy, MixedStrategy)>,
     /// `true` when `solutions` was capped (the run discovered more
     /// distinct candidates than the recorder keeps) — coverage built on
     /// this run undercounts, and reports surface the flag.
@@ -41,15 +42,10 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Two-player `(row, col)` view of the returned profile — `None`
-    /// when no profile was returned or the game is not two-player.
+    /// Borrowed `(row, col)` view of the returned profile — `None` when
+    /// no profile was returned.
     pub fn pair(&self) -> Option<(&MixedStrategy, &MixedStrategy)> {
-        self.profile.as_ref().and_then(Profile::as_pair)
-    }
-
-    /// Consumes the outcome into its `(row, col)` profile, if any.
-    pub fn into_pair(self) -> Option<(MixedStrategy, MixedStrategy)> {
-        self.profile.and_then(Profile::into_pair)
+        self.profile.as_ref().map(|(p, q)| (p, q))
     }
 }
 
@@ -63,9 +59,7 @@ pub trait NashSolver: Send + Sync {
     /// Human-readable solver name (used in reports).
     fn name(&self) -> &str;
 
-    /// The game being solved, behind the generic [`Game`] interface.
-    /// Bimatrix-only machinery (crossbar mapping, QUBO reduction, exact
-    /// oracles) recovers the typed view with [`Game::as_bimatrix`].
+    /// The game being solved; [`Game::bimatrix`] gives the typed view.
     fn game(&self) -> &dyn Game;
 
     /// Executes one independent run with the given seed.
@@ -124,11 +118,11 @@ fn grid_run<E: DeltaEnergy<State = GridStrategyPair>>(
     let solutions = sa
         .hit_states
         .iter()
-        .map(|s| Profile::pair(s.p_strategy(), s.q_strategy()))
+        .map(|s| (s.p_strategy(), s.q_strategy()))
         .collect();
     RunOutcome {
         is_equilibrium: game.is_equilibrium(&p, &q, 1e-6),
-        profile: Some(Profile::pair(p, q)),
+        profile: Some((p, q)),
         hit_time: sa.first_hit.map(|k| k as f64 * latency),
         total_time: sa.iterations as f64 * latency,
         measured_objective: sa.final_energy,
@@ -463,7 +457,7 @@ mod tests {
         let s = CNashSolver::new(&g, CNashConfig::ideal(12), 0).unwrap();
         let out = s.run(5);
         assert!(out.is_equilibrium);
-        let (p, _) = out.into_pair().expect("cnash always returns a profile");
+        let (p, _) = out.profile.expect("cnash always returns a profile");
         assert!(!p.is_pure(1e-6), "matching pennies NE is mixed");
     }
 

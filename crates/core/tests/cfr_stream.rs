@@ -55,8 +55,7 @@ fn digest(hash: &mut u64, out: &RunOutcome) {
         Some((p, q)) => eat_pair(&mut eat, p, q),
         None => eat(&[0xFD]),
     }
-    for s in &out.solutions {
-        let (p, q) = s.as_pair().expect("two-player solution");
+    for (p, q) in &out.solutions {
         eat_pair(&mut eat, p, q);
     }
     eat(&[
@@ -73,7 +72,7 @@ fn digest(hash: &mut u64, out: &RunOutcome) {
 }
 
 fn stream_digest(game: &BimatrixGame, config: CfrConfig) -> u64 {
-    let solver = CfrSolver::new(Box::new(game.clone()), config).expect("valid config");
+    let solver = CfrSolver::new(game, config).expect("valid config");
     let mut hash = 0xCBF2_9CE4_8422_2325_u64;
     for seed in SEEDS {
         digest(&mut hash, &solver.run(seed));

@@ -1,218 +1,37 @@
-//! The generic N-player game interface.
+//! The solver-facing game handle.
 //!
-//! [`Game`] is the abstraction the solver stack is built against: a
-//! game names its players and per-player action sets, evaluates
-//! expected utilities of a [`Profile`], and exposes a canonical
-//! fingerprint for instance caches. [`BimatrixGame`] is the first
-//! implementor; its [`Game::as_bimatrix`] override gives bimatrix-only
-//! machinery (crossbar mapping, QUBO reduction, exact oracles) a
-//! zero-cost typed view, so those paths pay nothing for the
-//! generalisation.
+//! Every game in this workspace is a two-player [`BimatrixGame`], and
+//! every solver reports its answers as a `(row, col)` strategy pair.
+//! [`Game`] is what `cnash_core::NashSolver::game` hands back: a
+//! `dyn`-compatible view of the solver's bimatrix game.
 //!
 //! # Example
 //!
 //! ```
-//! use cnash_game::prelude::*;
-//! use cnash_game::games;
+//! use cnash_game::{games, Game};
 //!
 //! let bos = games::battle_of_the_sexes();
 //! let game: &dyn Game = &bos;
-//! assert_eq!(game.players(), 2);
-//! assert_eq!(game.num_actions(0), 2);
-//! let profile = Profile::pair(
-//!     MixedStrategy::pure(2, 0).unwrap(),
-//!     MixedStrategy::pure(2, 0).unwrap(),
-//! );
-//! assert!(game.is_equilibrium_profile(&profile, 1e-9));
-//! assert_eq!(game.fingerprint(), bos.canonical_fingerprint());
+//! assert_eq!(game.bimatrix().canonical_fingerprint(), bos.canonical_fingerprint());
 //! ```
 
 use crate::bimatrix::BimatrixGame;
-use crate::profile::Profile;
-use crate::strategy::MixedStrategy;
 
-/// An N-player game in strategic form.
+/// The game a solver works on, behind a trait object.
 ///
-/// The trait is object-safe: solvers hold `&dyn Game` / `Box<dyn Game>`
-/// and remain agnostic of the concrete representation. Implementors
-/// must keep [`Game::fingerprint`] canonical — two games that are
-/// payoff-identical must fingerprint identically whatever entry point
-/// built them, because instance caches and replay tooling key on it.
+/// [`BimatrixGame`] is the one implementor. The trait survives only so
+/// that perfbench's `Timed` wrapper, which implements
+/// `cnash_core::NashSolver` and returns `&dyn Game`, keeps compiling.
+/// It goes once a benchmark change decouples perfbench from
+/// `NashSolver::game` (ROADMAP item 6).
 pub trait Game: Send + Sync {
-    /// Human-readable instance name (reports, labels).
-    fn name(&self) -> &str;
-
-    /// Number of players.
-    fn players(&self) -> usize;
-
-    /// Number of actions available to `player` (`0..self.players()`).
-    fn num_actions(&self, player: usize) -> usize;
-
-    /// Payoff of `player` at the pure action profile `actions`
-    /// (one action index per player).
-    fn pure_payoff(&self, player: usize, actions: &[usize]) -> f64;
-
-    /// Expected payoff of `player` under the mixed `profile`.
-    ///
-    /// The default evaluates the full action product — exponential in
-    /// player count, fine for the small strategic-form games this
-    /// workspace handles; representations with structure (bimatrix)
-    /// override it with closed-form evaluation.
-    fn payoff(&self, player: usize, profile: &Profile) -> f64 {
-        let players = self.players();
-        let mut actions = vec![0usize; players];
-        let mut total = 0.0;
-        // Odometer enumeration of the action product, accumulating
-        // probability-weighted pure payoffs.
-        loop {
-            let weight: f64 = (0..players)
-                .map(|p| profile.strategy(p).prob(actions[p]))
-                .product();
-            if weight > 0.0 {
-                total += weight * self.pure_payoff(player, &actions);
-            }
-            let mut carry = players;
-            while carry > 0 {
-                let p = carry - 1;
-                actions[p] += 1;
-                if actions[p] < self.num_actions(p) {
-                    break;
-                }
-                actions[p] = 0;
-                carry -= 1;
-            }
-            if carry == 0 {
-                return total;
-            }
-        }
-    }
-
-    /// Best payoff `player` can get by a unilateral pure deviation from
-    /// `profile` (everyone else keeps playing their mixed strategy).
-    fn best_response_value(&self, player: usize, profile: &Profile) -> f64 {
-        let mut best = f64::NEG_INFINITY;
-        for action in 0..self.num_actions(player) {
-            let mut strategies = profile.strategies().to_vec();
-            strategies[player] = MixedStrategy::pure(self.num_actions(player), action)
-                .expect("action index is in range");
-            let deviated = Profile::new(strategies).expect("profile is non-empty");
-            best = best.max(self.payoff(player, &deviated));
-        }
-        best
-    }
-
-    /// `player`'s incentive to deviate: best-response value minus the
-    /// payoff actually obtained. Non-negative; zero iff `player` is
-    /// best-responding.
-    fn regret(&self, player: usize, profile: &Profile) -> f64 {
-        self.best_response_value(player, profile) - self.payoff(player, profile)
-    }
-
-    /// Sum of all players' regrets — the exact exploitability of
-    /// `profile`. Zero exactly at Nash equilibria (for bimatrix games
-    /// this is the MAX-QUBO objective `nash_gap`).
-    fn exploitability(&self, profile: &Profile) -> f64 {
-        (0..self.players()).map(|p| self.regret(p, profile)).sum()
-    }
-
-    /// `true` if no player can gain more than `eps` by unilateral
-    /// deviation (ε-Nash).
-    fn is_equilibrium_profile(&self, profile: &Profile, eps: f64) -> bool {
-        (0..self.players()).all(|p| self.regret(p, profile) <= eps)
-    }
-
-    /// `true` if `profile` has one strategy per player with the right
-    /// action counts.
-    fn shape_matches(&self, profile: &Profile) -> bool {
-        profile.players() == self.players()
-            && (0..self.players()).all(|p| profile.strategy(p).len() == self.num_actions(p))
-    }
-
-    /// Canonical payoff fingerprint — the instance-cache key.
-    ///
-    /// Must depend only on the payoff structure (not the display name),
-    /// so equivalent instances built from different spec forms share a
-    /// cache line.
-    fn fingerprint(&self) -> u64;
-
-    /// Typed view for bimatrix-only machinery; `None` for other kinds.
-    fn as_bimatrix(&self) -> Option<&BimatrixGame> {
-        None
-    }
+    /// The two-player game itself.
+    fn bimatrix(&self) -> &BimatrixGame;
 }
 
 impl Game for BimatrixGame {
-    fn name(&self) -> &str {
-        BimatrixGame::name(self)
-    }
-
-    fn players(&self) -> usize {
-        2
-    }
-
-    fn num_actions(&self, player: usize) -> usize {
-        match player {
-            0 => self.row_actions(),
-            1 => self.col_actions(),
-            _ => panic!("bimatrix game has 2 players, asked for player {player}"),
-        }
-    }
-
-    fn pure_payoff(&self, player: usize, actions: &[usize]) -> f64 {
-        let [i, j] = actions else {
-            panic!(
-                "bimatrix game takes 2 action indices, got {}",
-                actions.len()
-            );
-        };
-        match player {
-            0 => self.row_payoffs()[(*i, *j)],
-            1 => self.col_payoffs()[(*i, *j)],
-            _ => panic!("bimatrix game has 2 players, asked for player {player}"),
-        }
-    }
-
-    fn payoff(&self, player: usize, profile: &Profile) -> f64 {
-        let (p, q) = profile.as_pair().expect("bimatrix profile has 2 players");
-        let (f1, f2) = self.payoffs(p, q).expect("profile shape matches the game");
-        match player {
-            0 => f1,
-            1 => f2,
-            _ => panic!("bimatrix game has 2 players, asked for player {player}"),
-        }
-    }
-
-    fn best_response_value(&self, player: usize, profile: &Profile) -> f64 {
-        let (p, q) = profile.as_pair().expect("bimatrix profile has 2 players");
-        match player {
-            0 => self.row_best_value(q),
-            1 => self.col_best_value(p),
-            _ => panic!("bimatrix game has 2 players, asked for player {player}"),
-        }
-        .expect("profile shape matches the game")
-    }
-
-    /// Bit-identical to [`BimatrixGame::nash_gap`]: the generic
-    /// regret-sum default associates the additions differently, and the
-    /// rebased stack promises the typed and trait paths agree exactly.
-    fn exploitability(&self, profile: &Profile) -> f64 {
-        let (p, q) = profile.as_pair().expect("bimatrix profile has 2 players");
-        self.nash_gap(p, q).expect("profile shape matches the game")
-    }
-
-    fn is_equilibrium_profile(&self, profile: &Profile, eps: f64) -> bool {
-        let (p, q) = profile.as_pair().expect("bimatrix profile has 2 players");
-        self.is_equilibrium(p, q, eps)
-    }
-
-    /// Identical to [`BimatrixGame::canonical_fingerprint`] — callers
-    /// keying caches on either entry point see the same value.
-    fn fingerprint(&self) -> u64 {
-        self.canonical_fingerprint()
-    }
-
-    fn as_bimatrix(&self) -> Option<&BimatrixGame> {
-        Some(self)
+    fn bimatrix(&self) -> &BimatrixGame {
+        self
     }
 }
 
@@ -220,122 +39,11 @@ impl Game for BimatrixGame {
 mod tests {
     use super::*;
     use crate::games;
-    use crate::matrix::Matrix;
-
-    fn bos() -> BimatrixGame {
-        games::battle_of_the_sexes()
-    }
 
     #[test]
     fn bimatrix_game_exposes_trait_shape() {
-        let g = bos();
+        let g = games::battle_of_the_sexes();
         let game: &dyn Game = &g;
-        assert_eq!(game.name(), g.name());
-        assert_eq!(game.players(), 2);
-        assert_eq!(game.num_actions(0), g.row_actions());
-        assert_eq!(game.num_actions(1), g.col_actions());
-        assert!(game.as_bimatrix().is_some());
-        assert_eq!(game.fingerprint(), g.canonical_fingerprint());
-    }
-
-    #[test]
-    fn trait_payoffs_match_bimatrix_payoffs() {
-        let g = bos();
-        let p = MixedStrategy::new(vec![0.25, 0.75]).unwrap();
-        let q = MixedStrategy::new(vec![0.5, 0.5]).unwrap();
-        let profile = Profile::pair(p.clone(), q.clone());
-        let (f1, f2) = g.payoffs(&p, &q).unwrap();
-        let game: &dyn Game = &g;
-        assert!((game.payoff(0, &profile) - f1).abs() < 1e-12);
-        assert!((game.payoff(1, &profile) - f2).abs() < 1e-12);
-        assert!(
-            (game.best_response_value(0, &profile) - g.row_best_value(&q).unwrap()).abs() < 1e-12
-        );
-        assert!(
-            (game.best_response_value(1, &profile) - g.col_best_value(&p).unwrap()).abs() < 1e-12
-        );
-        assert!((game.exploitability(&profile) - g.nash_gap(&p, &q).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trait_defaults_agree_with_bimatrix_overrides() {
-        // Evaluate the generic odometer/deviation defaults against the
-        // closed-form bimatrix overrides on a rectangular game.
-        struct Opaque(BimatrixGame);
-        impl Game for Opaque {
-            fn name(&self) -> &str {
-                Game::name(&self.0)
-            }
-            fn players(&self) -> usize {
-                2
-            }
-            fn num_actions(&self, player: usize) -> usize {
-                self.0.num_actions(player)
-            }
-            fn pure_payoff(&self, player: usize, actions: &[usize]) -> f64 {
-                self.0.pure_payoff(player, actions)
-            }
-            fn fingerprint(&self) -> u64 {
-                self.0.canonical_fingerprint()
-            }
-        }
-        let m = Matrix::from_rows(&[vec![3.0, 0.0, 1.0], vec![1.0, 2.0, 0.5]]).unwrap();
-        let n = Matrix::from_rows(&[vec![1.0, 2.0, 0.0], vec![0.0, 1.0, 3.0]]).unwrap();
-        let g = BimatrixGame::new("rect", m, n).unwrap();
-        let opaque = Opaque(g.clone());
-        let profile = Profile::pair(
-            MixedStrategy::new(vec![0.3, 0.7]).unwrap(),
-            MixedStrategy::new(vec![0.2, 0.5, 0.3]).unwrap(),
-        );
-        for player in 0..2 {
-            assert!(
-                (opaque.payoff(player, &profile) - g.payoff(player, &profile)).abs() < 1e-12,
-                "payoff mismatch for player {player}"
-            );
-            assert!(
-                (opaque.best_response_value(player, &profile)
-                    - g.best_response_value(player, &profile))
-                .abs()
-                    < 1e-12,
-                "best response mismatch for player {player}"
-            );
-        }
-        assert!((opaque.exploitability(&profile) - g.exploitability(&profile)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn equilibrium_check_routes_through_profile() {
-        let g = bos();
-        let game: &dyn Game = &g;
-        let eq = Profile::pair(
-            MixedStrategy::pure(2, 0).unwrap(),
-            MixedStrategy::pure(2, 0).unwrap(),
-        );
-        assert!(game.is_equilibrium_profile(&eq, 1e-9));
-        assert!(game.exploitability(&eq).abs() < 1e-12);
-        let off = Profile::pair(
-            MixedStrategy::pure(2, 0).unwrap(),
-            MixedStrategy::pure(2, 1).unwrap(),
-        );
-        assert!(!game.is_equilibrium_profile(&off, 1e-9));
-        assert!(game.exploitability(&off) > 0.5);
-    }
-
-    #[test]
-    fn shape_matches_validates_per_player_lengths() {
-        let g = bos();
-        let game: &dyn Game = &g;
-        let good = Profile::pair(
-            MixedStrategy::uniform(2).unwrap(),
-            MixedStrategy::uniform(2).unwrap(),
-        );
-        assert!(game.shape_matches(&good));
-        let bad_len = Profile::pair(
-            MixedStrategy::uniform(3).unwrap(),
-            MixedStrategy::uniform(2).unwrap(),
-        );
-        assert!(!game.shape_matches(&bad_len));
-        let bad_players = Profile::new(vec![MixedStrategy::uniform(2).unwrap()]).unwrap();
-        assert!(!game.shape_matches(&bad_players));
+        assert!(std::ptr::eq(game.bimatrix(), &g));
     }
 }

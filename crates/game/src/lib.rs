@@ -8,11 +8,11 @@
 //! * [`MixedStrategy`] — a validated probability vector over a player's
 //!   actions, including quantization onto the `1/I` grid used by the C-Nash
 //!   crossbar mapping,
-//! * [`Game`] — the generic N-player game interface solvers are built
-//!   against, with [`Profile`] as the unit of exchange,
 //! * [`BimatrixGame`] — a two-player game in strategic form with payoff
-//!   matrices `M` (row player) and `N` (column player); the first
-//!   [`Game`] implementor,
+//!   matrices `M` (row player) and `N` (column player); every solver
+//!   answers with a `(row, col)` pair of [`MixedStrategy`]s,
+//! * [`Game`] — the trait-object handle solvers return their game
+//!   through; [`BimatrixGame`] is its one implementor,
 //! * [`Equilibrium`] and ε-Nash verification via best-response conditions,
 //! * [`support_enum`] — a support-enumeration solver used as ground truth
 //!   (the paper used Nashpy the same way),
@@ -59,7 +59,6 @@ pub mod lemke_howson;
 pub mod library;
 pub mod linalg;
 pub mod matrix;
-pub mod profile;
 pub mod strategy;
 pub mod support_enum;
 
@@ -68,22 +67,18 @@ pub use equilibrium::{Equilibrium, StrategyKind, SupportClass};
 pub use error::GameError;
 pub use game::Game;
 pub use matrix::Matrix;
-pub use profile::Profile;
 pub use strategy::MixedStrategy;
 
-/// One-stop import for downstream crates: the game abstraction plus
-/// the concrete types every solver touches.
+/// One-stop import for downstream crates: the concrete types every
+/// solver touches.
 ///
 /// ```
 /// use cnash_game::prelude::*;
 ///
 /// let game = cnash_game::games::matching_pennies();
 /// let dynamic: &dyn Game = &game;
-/// let profile = Profile::pair(
-///     MixedStrategy::uniform(2).unwrap(),
-///     MixedStrategy::uniform(2).unwrap(),
-/// );
-/// assert!(dynamic.is_equilibrium_profile(&profile, 1e-9));
+/// let uniform = MixedStrategy::uniform(2).unwrap();
+/// assert!(dynamic.bimatrix().is_equilibrium(&uniform, &uniform, 1e-9));
 /// ```
 pub mod prelude {
     pub use crate::bimatrix::BimatrixGame;
@@ -91,6 +86,5 @@ pub mod prelude {
     pub use crate::error::GameError;
     pub use crate::game::Game;
     pub use crate::matrix::Matrix;
-    pub use crate::profile::Profile;
     pub use crate::strategy::MixedStrategy;
 }

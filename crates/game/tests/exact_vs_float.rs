@@ -20,7 +20,7 @@ use cnash_game::support_enum::enumerate_equilibria;
 use cnash_game::SupportClass;
 use proptest::prelude::*;
 
-/// Profile tolerance when matching a float equilibrium to an exact one
+/// Strategy-pair tolerance when matching a float equilibrium to an exact one
 /// (diffcheck's `MATCH_TOL`).
 const MATCH_TOL: f64 = 1e-4;
 /// Payoff-tie slack for support-pair classes (diffcheck's `CLASS_TOL`).

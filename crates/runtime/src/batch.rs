@@ -117,7 +117,7 @@ impl BatchRunner {
         cancel: &CancelToken,
     ) -> BatchReport {
         let start = Instant::now();
-        let mut acc = ReportAccumulator::new(solver.name(), solver.game());
+        let mut acc = ReportAccumulator::new(solver.name(), solver.game().bimatrix());
         let mut stopped_early = false;
 
         let base_seed = self.base_seed;

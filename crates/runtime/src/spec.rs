@@ -68,6 +68,20 @@ fn spec_err<T>(message: impl Into<String>) -> Result<T, SpecError> {
     })
 }
 
+/// The emulated D-Wave device a [`SolverSpec::DWave`] `model` names:
+/// `"2000q"` or `"advantage4.1"`.
+///
+/// # Errors
+///
+/// Errors on any other name.
+pub fn dwave_model(name: &str) -> Result<DWaveModel, SpecError> {
+    match name {
+        "2000q" => Ok(DWaveModel::dwave_2000q()),
+        "advantage4.1" => Ok(DWaveModel::advantage_4_1()),
+        other => spec_err(format!("unknown D-Wave model `{other}`")),
+    }
+}
+
 /// Encodes a 64-bit seed losslessly: as a JSON number when exactly
 /// representable in an `f64`, as a decimal string above 2^53.
 fn seed_to_json(v: u64) -> Json {
@@ -596,8 +610,7 @@ pub enum SolverSpec {
         reads_per_run: usize,
     },
     /// The classical external-sampling CFR baseline
-    /// (`cnash_core::CfrSolver`) — the first solver running against the
-    /// generic `cnash_game::Game` trait rather than a bimatrix view.
+    /// (`cnash_core::CfrSolver`).
     Cfr {
         /// External-sampling iterations per run.
         iterations: usize,
@@ -630,20 +643,15 @@ impl SolverSpec {
                 model,
                 reads_per_run,
             } => {
-                let model = match model.as_str() {
-                    "2000q" => DWaveModel::dwave_2000q(),
-                    "advantage4.1" => DWaveModel::advantage_4_1(),
-                    other => return spec_err(format!("unknown D-Wave model `{other}`")),
-                };
-                let solver =
-                    DWaveNashSolver::new(game, model, *reads_per_run).map_err(|e| SpecError {
+                let solver = DWaveNashSolver::new(game, dwave_model(model)?, *reads_per_run)
+                    .map_err(|e| SpecError {
                         message: format!("dwave: {e}"),
                     })?;
                 Ok(Box::new(solver))
             }
             SolverSpec::Cfr { iterations } => {
-                let solver = CfrSolver::new(Box::new(game.clone()), CfrConfig::new(*iterations))
-                    .map_err(|e| SpecError {
+                let solver =
+                    CfrSolver::new(game, CfrConfig::new(*iterations)).map_err(|e| SpecError {
                         message: format!("cfr: {e}"),
                     })?;
                 Ok(Box::new(solver))
@@ -793,18 +801,22 @@ impl JobSpec {
         let game = self.game.build()?;
         let solver = self.solver.build(&game)?;
         let ground_truth = enumerate_equilibria(&game, 1e-9);
-        let label = self
-            .label
-            .clone()
-            .unwrap_or_else(|| format!("{} on {}", self.solver.label(), game.name()));
         Ok(PortfolioJob {
-            label,
+            label: self.label_for(&game),
             solver,
             ground_truth,
             runs: self.runs,
             base_seed: self.base_seed,
             early_stop: self.early_stop,
         })
+    }
+
+    /// The job's display label on `game`: the explicit `label`, or
+    /// `"<solver label> on <game name>"`.
+    pub fn label_for(&self, game: &BimatrixGame) -> String {
+        self.label
+            .clone()
+            .unwrap_or_else(|| format!("{} on {}", self.solver.label(), game.name()))
     }
 
     /// Serialises to JSON.

@@ -12,7 +12,7 @@
 
 use cnash_core::experiment::ReportAccumulator;
 use cnash_core::RunOutcome;
-use cnash_game::{games, MixedStrategy, Profile};
+use cnash_game::{games, MixedStrategy};
 use cnash_runtime::batch::{BatchReport, EarlyStop};
 use cnash_runtime::report::{batch_report_json, game_report_json};
 use cnash_runtime::spec::{BatchSpec, ConfigSpec, GameSpec, JobSpec, SolverSpec};
@@ -217,30 +217,27 @@ fn outcome(kind: u8, time: f64, truncated: bool) -> RunOutcome {
     match kind % 4 {
         // Pure equilibrium hit, solutions recorded.
         0 => RunOutcome {
-            profile: Some(Profile::pair(pure(0).0, pure(0).1)),
+            profile: Some(pure(0)),
             is_equilibrium: game.is_equilibrium(&pure(0).0, &pure(0).1, 1e-9),
             hit_time: Some(time / 2.0),
             total_time: time,
             measured_objective: 0.0,
-            solutions: vec![
-                Profile::pair(pure(0).0, pure(0).1),
-                Profile::pair(mixed().0, mixed().1),
-            ],
+            solutions: vec![pure(0), mixed()],
             solutions_truncated: truncated,
         },
         // Mixed equilibrium hit.
         1 => RunOutcome {
-            profile: Some(Profile::pair(mixed().0, mixed().1)),
+            profile: Some(mixed()),
             is_equilibrium: true,
             hit_time: Some(time),
             total_time: time,
             measured_objective: 0.0,
-            solutions: vec![Profile::pair(mixed().0, mixed().1)],
+            solutions: vec![mixed()],
             solutions_truncated: truncated,
         },
         // Error: non-equilibrium profile.
         2 => RunOutcome {
-            profile: Some(Profile::pair(pure(0).0, pure(1).1)),
+            profile: Some((pure(0).0, pure(1).1)),
             is_equilibrium: false,
             hit_time: None,
             total_time: time,

@@ -11,7 +11,7 @@
 
 use cnash_core::{CNashConfig, CNashSolver, NashSolver, RunOutcome};
 use cnash_game::support_enum::enumerate_equilibria;
-use cnash_game::{games, BimatrixGame, Game, MixedStrategy, Profile};
+use cnash_game::{games, BimatrixGame, Game, MixedStrategy};
 use cnash_runtime::{BatchRunner, EarlyStop};
 use proptest::prelude::*;
 
@@ -47,8 +47,8 @@ impl LyingSolver {
         }
     }
 
-    fn bogus_profile(&self) -> Profile {
-        Profile::pair(
+    fn bogus_profile(&self) -> (MixedStrategy, MixedStrategy) {
+        (
             MixedStrategy::pure(self.game.row_actions(), 0).expect("valid"),
             MixedStrategy::pure(self.game.col_actions(), 0).expect("valid"),
         )
@@ -82,7 +82,7 @@ impl NashSolver for LyingSolver {
 /// seed and errors otherwise.
 struct SometimesSolver {
     game: BimatrixGame,
-    truth: Profile,
+    truth: (MixedStrategy, MixedStrategy),
     hit_every: u64,
 }
 
@@ -90,11 +90,11 @@ impl SometimesSolver {
     fn new(hit_every: u64) -> Self {
         let game = games::prisoners_dilemma();
         // (Defect, Defect) IS the prisoner's dilemma equilibrium.
-        let truth = Profile::pair(
+        let truth = (
             MixedStrategy::pure(game.row_actions(), 1).expect("valid"),
             MixedStrategy::pure(game.col_actions(), 1).expect("valid"),
         );
-        assert!(game.is_equilibrium_profile(&truth, 1e-9));
+        assert!(game.is_equilibrium(&truth.0, &truth.1, 1e-9));
         Self {
             game,
             truth,

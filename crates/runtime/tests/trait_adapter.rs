@@ -1,15 +1,14 @@
-//! Property tests of the `cnash_game::Game` adapter layer.
+//! Entry-point invariance of solvers and games.
 //!
-//! The bimatrix stack was rebased onto the generic trait; these tests
-//! pin the contract that the rebase is *bit-exact*: for every seeded
-//! family, the `BimatrixGame → dyn Game → solver` path produces the
-//! same bits as the typed bimatrix path, and canonical fingerprints are
-//! invariant across every entry point (typed call, trait object, family
-//! spec, explicit-payoff spec).
+//! For every seeded family: a spec-built solver hands back, through
+//! `NashSolver::game`, the very game it was built from; it produces the
+//! same bits as the solver built directly from the typed game; and
+//! canonical fingerprints are invariant across every entry point (typed
+//! call, family spec, explicit-payoff spec).
 
 use cnash_core::{CNashSolver, CfrConfig, CfrSolver, IdealSolver, NashSolver};
 use cnash_game::families::Family;
-use cnash_game::{BimatrixGame, Game, MixedStrategy, Profile};
+use cnash_game::BimatrixGame;
 use cnash_runtime::spec::{ConfigSpec, GameSpec, SolverSpec};
 
 /// Every family × size × seed instance the properties quantify over.
@@ -28,47 +27,35 @@ fn family_instances() -> Vec<(Family, usize, u64, BimatrixGame)> {
     games
 }
 
-/// A deterministic mixed profile exercising non-pure evaluation paths.
-fn mixed_profile(game: &BimatrixGame) -> Profile {
-    Profile::pair(
-        MixedStrategy::uniform(game.row_actions()).expect("non-empty rows"),
-        MixedStrategy::uniform(game.col_actions()).expect("non-empty cols"),
-    )
-}
-
 #[test]
 fn trait_evaluation_is_bit_identical_to_the_typed_path_on_all_families() {
+    // A solver hands its game back as `&dyn Game`; the report
+    // accumulator classifies every run against `game().bimatrix()`. That
+    // view must be the very game the solver was built from, bit for bit,
+    // whatever solver kind the spec names.
+    let specs = [
+        SolverSpec::CNash {
+            config: ConfigSpec::ideal(12).with_iterations(300),
+            hardware_seed: 1,
+        },
+        SolverSpec::Ideal {
+            config: ConfigSpec::ideal(12),
+        },
+        SolverSpec::DWave {
+            model: "2000q".into(),
+            reads_per_run: 1,
+        },
+        SolverSpec::Cfr { iterations: 500 },
+    ];
     for (_, _, _, game) in family_instances() {
-        let dyn_game: &dyn Game = &game;
-        assert_eq!(dyn_game.players(), 2);
-        assert_eq!(dyn_game.num_actions(0), game.row_actions());
-        assert_eq!(dyn_game.num_actions(1), game.col_actions());
-        // Pure profiles: the trait's joint-action evaluation is exactly
-        // the payoff-matrix entry.
-        for r in 0..game.row_actions() {
-            for c in 0..game.col_actions() {
-                assert_eq!(dyn_game.pure_payoff(0, &[r, c]), game.row_payoffs()[(r, c)]);
-                assert_eq!(dyn_game.pure_payoff(1, &[r, c]), game.col_payoffs()[(r, c)]);
-            }
+        for spec in &specs {
+            let solver = spec.build(&game).expect("spec builds");
+            let back = solver.game().bimatrix();
+            assert_eq!(back.name(), game.name());
+            assert_eq!(back.row_payoffs(), game.row_payoffs());
+            assert_eq!(back.col_payoffs(), game.col_payoffs());
+            assert_eq!(back.canonical_fingerprint(), game.canonical_fingerprint());
         }
-        // Mixed profiles: trait payoff/exploitability are the same bits
-        // as the closed-form bimatrix expected payoffs and Nash gap.
-        let profile = mixed_profile(&game);
-        let (p, q) = profile.as_pair().expect("two players");
-        let (f1, f2) = game.payoffs(p, q).expect("shapes match");
-        assert_eq!(dyn_game.payoff(0, &profile), f1);
-        assert_eq!(dyn_game.payoff(1, &profile), f2);
-        let gap = game.nash_gap(p, q).expect("shapes match");
-        assert_eq!(dyn_game.exploitability(&profile), gap);
-        assert_eq!(
-            dyn_game.is_equilibrium_profile(&profile, 1e-6),
-            game.is_equilibrium(p, q, 1e-6)
-        );
-        // The typed view recovered from the trait object is the same
-        // game, not a copy with different bits.
-        let back = dyn_game.as_bimatrix().expect("bimatrix view");
-        assert_eq!(back.row_payoffs(), game.row_payoffs());
-        assert_eq!(back.col_payoffs(), game.col_payoffs());
     }
 }
 
@@ -100,12 +87,9 @@ fn solver_outcomes_are_bit_identical_across_typed_and_spec_entry_points() {
         );
         assert_eq!(via_spec.run(seed), typed.run(seed), "{}", game.name());
 
-        // CFR consumes the game only as `Box<dyn Game>`: two boxes of
-        // the same bimatrix clone must run identically.
         let cfr_spec = SolverSpec::Cfr { iterations: 500 };
         let via_spec = cfr_spec.build(&game).expect("spec builds");
-        let typed =
-            CfrSolver::new(Box::new(game.clone()), CfrConfig::new(500)).expect("typed builds");
+        let typed = CfrSolver::new(&game, CfrConfig::new(500)).expect("typed builds");
         assert_eq!(via_spec.run(seed), typed.run(seed), "{}", game.name());
     }
 }
@@ -125,12 +109,9 @@ fn canonical_fingerprints_are_invariant_across_entry_points() {
         let from_spec = spec.build().expect("family spec builds");
         let explicit = GameSpec::from_game(&game).build().expect("explicit builds");
         let typed_fp = game.canonical_fingerprint();
-        // Trait hook == typed call on the same value.
-        assert_eq!((&game as &dyn Game).fingerprint(), typed_fp);
         // Family-spec and explicit-payoff entry points land on the same
         // canonical instance (the cache-key contract).
         assert_eq!(from_spec.canonical_fingerprint(), typed_fp);
         assert_eq!(explicit.canonical_fingerprint(), typed_fp);
-        assert_eq!((&explicit as &dyn Game).fingerprint(), typed_fp);
     }
 }

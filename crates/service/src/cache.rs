@@ -28,9 +28,8 @@ use cnash_core::{CNashSolver, IdealSolver, NashSolver, ProgrammedCNash};
 use cnash_game::canonical::Hasher64;
 use cnash_game::support_enum::enumerate_equilibria;
 use cnash_game::{BimatrixGame, Equilibrium};
-use cnash_qubo::dwave::DWaveModel;
 use cnash_qubo::squbo::{SQubo, SQuboWeights};
-use cnash_runtime::spec::{GameSpec, SolverSpec};
+use cnash_runtime::spec::{dwave_model, GameSpec, SolverSpec};
 use cnash_runtime::{Json, SpecError};
 use cnash_telemetry::{Counter, Registry};
 use std::collections::HashMap;
@@ -254,15 +253,7 @@ impl InstanceCache {
                 model,
                 reads_per_run,
             } => {
-                let device = match model.as_str() {
-                    "2000q" => DWaveModel::dwave_2000q(),
-                    "advantage4.1" => DWaveModel::advantage_4_1(),
-                    other => {
-                        return Err(SpecError {
-                            message: format!("unknown D-Wave model `{other}`"),
-                        })
-                    }
-                };
+                let device = dwave_model(model)?;
                 let mut h = Hasher64::new();
                 h.write_str("squbo").write_u64(game_fp);
                 let (slot, hit) = self.instance_slot(h.finish());
@@ -305,8 +296,8 @@ impl InstanceCache {
                 })
             }
             SolverSpec::Cfr { .. } => {
-                // CFR runs in software against the generic game trait —
-                // no crossbar, no QUBO, nothing to memoize. Counted as a
+                // CFR runs in software on the bimatrix game — no
+                // crossbar, no QUBO, nothing to memoize. Counted as a
                 // miss like `ideal`.
                 self.count_instance(false);
                 let solver = solver_spec.build(&game)?;

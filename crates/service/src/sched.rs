@@ -39,8 +39,10 @@ struct Queued {
 ///
 /// The depth gauge counts jobs *queued but not yet started*: `inc` on
 /// a successful push, `dec` the moment a worker pops the job. `wait`
-/// records each job's time from push to pop; `executed` counts
-/// completed job runs.
+/// records each job's time from push to pop; `executed` counts the
+/// jobs workers have run, bumped as each one starts: a job delivers its
+/// own response before it returns, so a count taken after the run could
+/// lag a `stats` or `metrics` reply that follows that response.
 #[derive(Debug)]
 struct SchedTelemetry {
     depth: Arc<Gauge>,
@@ -89,7 +91,7 @@ impl Scheduler {
         self.workers.len()
     }
 
-    /// Total jobs executed to completion.
+    /// Total jobs run by the workers, each counted as it starts.
     pub fn jobs_executed(&self) -> u64 {
         self.telemetry.executed.get()
     }
@@ -140,8 +142,8 @@ fn worker_loop(queue: &WorkQueue<Queued>, telemetry: &SchedTelemetry) {
                 .wait
                 .record(u64::try_from(pushed.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        run_isolated(job);
         telemetry.executed.inc();
+        run_isolated(job);
     }
 }
 

@@ -876,14 +876,10 @@ pub fn execute_solve(
     let batch_token = cancel.child();
     let batch = runner.evaluate_cancellable(prepared.solver.as_ref(), &ground_truth, &batch_token);
 
-    let label = job
-        .label
-        .clone()
-        .unwrap_or_else(|| format!("{} on {}", job.solver.label(), prepared.game.name()));
     let mut response = Json::obj([
         ("id", id.clone()),
         ("ok", Json::Bool(true)),
-        ("label", Json::str(label)),
+        ("label", Json::str(job.label_for(&prepared.game))),
         ("cache_hit", Json::Bool(prepared.cache_hit)),
         ("report", game_report_json(&batch.report)),
         ("scheduled_runs", Json::num(batch.scheduled_runs as f64)),
@@ -1202,6 +1198,28 @@ mod tests {
         let pong = Json::parse(&responses[1]).unwrap();
         assert_eq!(pong.get("id").unwrap().as_usize().unwrap(), 7);
         assert!(pong.get("pong").unwrap().as_bool().unwrap());
+        handle.stop();
+    }
+
+    #[test]
+    fn zero_dwave_reads_get_an_error_and_the_connection_survives() {
+        let handle = serve(ServiceConfig::default()).unwrap();
+        let responses = send_lines(
+            handle.addr(),
+            &[
+                r#"{"op":"solve","id":1,"job":{"game":{"builtin":"battle_of_the_sexes"},"solver":{"type":"dwave","model":"2000q","reads_per_run":0},"runs":2,"base_seed":0}}"#,
+                SOLVE_BOS,
+            ],
+        );
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        let err = Json::parse(&responses[0]).unwrap();
+        assert!(!err.get("ok").unwrap().as_bool().unwrap());
+        let message = err.get("error").unwrap().as_str().unwrap();
+        assert!(message.contains("reads_per_run"), "{message}");
+        assert!(!message.contains("panicked"), "{message}");
+        let solved = Json::parse(&responses[1]).unwrap();
+        assert_eq!(solved.get("id").unwrap().as_usize().unwrap(), 2);
+        assert!(solved.get("ok").unwrap().as_bool().unwrap());
         handle.stop();
     }
 

@@ -98,10 +98,7 @@ pub fn record_checksum(key: u64, payload: &str) -> u64 {
 /// No thread count is part of the key: the runtime's determinism
 /// contract makes the payload thread-count independent.
 pub fn solve_key(game: &BimatrixGame, job: &JobSpec, truth: TruthPolicy) -> u64 {
-    let label = job
-        .label
-        .clone()
-        .unwrap_or_else(|| format!("{} on {}", job.solver.label(), game.name()));
+    let label = job.label_for(game);
     let early = match job.early_stop {
         None => "none".to_string(),
         Some(EarlyStop::Successes(n)) => format!("successes:{n}"),

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if out.is_equilibrium {
             found += 1;
             if found <= 3 {
-                let (p, q) = out.into_pair().expect("profile");
+                let (p, q) = out.profile.expect("profile");
                 println!("run {seed}: found p*={p}, q*={q}");
             }
         }

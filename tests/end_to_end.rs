@@ -21,7 +21,7 @@ fn cnash_solves_every_benchmark() {
             let out = solver.run(seed);
             if out.is_equilibrium {
                 successes += 1;
-                let (p, q) = out.into_pair().expect("profile");
+                let (p, q) = out.profile.expect("profile");
                 assert!(bench.game.is_equilibrium(&p, &q, 1e-6));
             }
         }
@@ -169,7 +169,7 @@ fn certificates_match_solver_verdicts() {
     for seed in 0..10 {
         let out = solver.run(seed);
         let claimed = out.is_equilibrium;
-        let (p, q) = out.into_pair().expect("profile");
+        let (p, q) = out.profile.expect("profile");
         let cert = Certificate::build(&g, p, q, 1e-6).expect("builds");
         assert_eq!(cert.is_valid(), claimed, "seed {seed}");
         if cert.is_valid() {

@@ -77,7 +77,7 @@ fn solver_degrades_gracefully_under_extreme_variability() {
     let harsh = CNashSolver::new(&game, cfg, 4).expect("maps");
     for seed in 0..5 {
         let out = harsh.run(seed);
-        let (p, q) = out.into_pair().expect("profile is always returned");
+        let (p, q) = out.profile.expect("profile is always returned");
         // Strategies remain valid simplex points regardless of noise.
         assert!((p.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((q.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -94,7 +94,7 @@ fn one_bit_adc_is_safe_but_useless() {
     let solver = CNashSolver::new(&game, cfg, 0).expect("maps");
     for seed in 0..5 {
         let out = solver.run(seed);
-        let (p, _) = out.into_pair().expect("profile");
+        let (p, _) = out.profile.expect("profile");
         assert_eq!(p.len(), 3);
     }
 }

@@ -50,11 +50,7 @@ fn jobs_file_runs_end_to_end() {
     let batch = &outcome.results[winner].batch;
     assert!(batch.stopped_early);
     for eq in &batch.report.distinct_found {
-        let game = jobs[winner]
-            .solver
-            .game()
-            .as_bimatrix()
-            .expect("portfolio jobs are bimatrix");
+        let game = jobs[winner].solver.game().bimatrix();
         assert!(game.is_equilibrium(&eq.row, &eq.col, 1e-6));
     }
 
