@@ -62,7 +62,8 @@ fn main() {
         ]);
     };
 
-    let ideal = IdealSolver::new(&game, CNashConfig::ideal(12).with_iterations(15_000));
+    let ideal = IdealSolver::new(&game, CNashConfig::ideal(12).with_iterations(15_000))
+        .expect("twelve intervals");
     push("software-exact objective", runner.evaluate(&ideal, &truth));
 
     let mut cfg = CNashConfig::paper(12).with_iterations(15_000);

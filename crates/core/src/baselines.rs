@@ -40,13 +40,6 @@ impl DWaveNashSolver {
         Self::from_programmed(game, model, reads_per_run, Arc::new(squbo))
     }
 
-    /// Shares this solver's programmed S-QUBO instance (cheap: an `Arc`
-    /// clone; the Eq. 6 build with its slack-variable blow-up is the
-    /// expensive part of instantiating a baseline solver).
-    pub fn programmed(&self) -> Arc<SQubo> {
-        Arc::clone(&self.squbo)
-    }
-
     /// Rebuilds a baseline solver around an already-built S-QUBO,
     /// skipping the QUBO construction. The device model and reads
     /// budget are per-request state and do not affect the programmed
@@ -181,21 +174,26 @@ mod tests {
     fn reprogrammed_baseline_is_bit_identical() {
         let g = games::battle_of_the_sexes();
         let cold = DWaveNashSolver::new(&g, DWaveModel::dwave_2000q(), 5).unwrap();
+        let squbo = Arc::new(SQubo::build(&g, &SQuboWeights::default()).unwrap());
         // Same game, different model/reads: the cached S-QUBO is shared.
         let warm =
-            DWaveNashSolver::from_programmed(&g, DWaveModel::dwave_2000q(), 5, cold.programmed())
+            DWaveNashSolver::from_programmed(&g, DWaveModel::dwave_2000q(), 5, Arc::clone(&squbo))
                 .unwrap();
         assert_eq!(cold.run(3), warm.run(3));
-        let advantage =
-            DWaveNashSolver::from_programmed(&g, DWaveModel::advantage_4_1(), 2, cold.programmed())
-                .unwrap();
+        let advantage = DWaveNashSolver::from_programmed(
+            &g,
+            DWaveModel::advantage_4_1(),
+            2,
+            Arc::clone(&squbo),
+        )
+        .unwrap();
         assert_eq!(advantage.reads_per_run(), 2);
         // Shape mismatches are rejected.
         assert!(DWaveNashSolver::from_programmed(
             &games::bird_game(),
             DWaveModel::dwave_2000q(),
             1,
-            cold.programmed()
+            squbo
         )
         .is_err());
     }
@@ -208,12 +206,12 @@ mod tests {
             other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
         };
         expect_invalid(DWaveNashSolver::new(&g, DWaveModel::dwave_2000q(), 0));
-        let cold = DWaveNashSolver::new(&g, DWaveModel::dwave_2000q(), 1).unwrap();
+        let squbo = SQubo::build(&g, &SQuboWeights::default()).unwrap();
         expect_invalid(DWaveNashSolver::from_programmed(
             &g,
             DWaveModel::dwave_2000q(),
             0,
-            cold.programmed(),
+            Arc::new(squbo),
         ));
     }
 

@@ -166,11 +166,11 @@ impl PhaseOneMax for WtaMax<'_> {
 /// Programming is the expensive part of instantiating a solver — the
 /// `O(n·m·I²·t)` device-sampling mapping pass — while everything else in
 /// a solver is cheap per-request state. A service that sees the same
-/// game (by canonical fingerprint) twice extracts this with
-/// [`CNashSolver::programmed`] on the first request and rebuilds cheap
-/// solver handles around it with [`CNashSolver::from_programmed`] on
-/// every later one, including parameter sweeps that only change the
-/// iteration budget, gap tolerance or WTA routing flag.
+/// game (by canonical fingerprint) twice programs it once with
+/// [`ProgrammedCNash::program`] and builds cheap solver handles around
+/// it with [`CNashSolver::from_programmed`], including parameter sweeps
+/// that only change the iteration budget, gap tolerance or WTA routing
+/// flag.
 #[derive(Debug, Clone)]
 pub struct ProgrammedCNash {
     hardware: Arc<BiCrossbar>,
@@ -179,9 +179,36 @@ pub struct ProgrammedCNash {
 }
 
 impl ProgrammedCNash {
-    /// The programmed bi-crossbar.
-    pub fn hardware(&self) -> &BiCrossbar {
-        &self.hardware
+    /// Maps `game` onto the bi-crossbar and builds both WTA trees.
+    /// `hardware_seed` selects the silicon instance (device variability
+    /// and WTA mismatch samples); of `config` only the crossbar, WTA and
+    /// interval settings matter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Crossbar`] if the game cannot be mapped (e.g.
+    /// non-integer payoffs at the configured scale).
+    pub fn program(
+        game: &BimatrixGame,
+        config: &CNashConfig,
+        hardware_seed: u64,
+    ) -> Result<Self, CoreError> {
+        let hardware = BiCrossbar::build(game, &config.crossbar, hardware_seed)?;
+        let wta_row = WtaTree::build(
+            game.row_actions(),
+            &config.wta,
+            hardware_seed.wrapping_add(0xA11CE),
+        );
+        let wta_col = WtaTree::build(
+            game.col_actions(),
+            &config.wta,
+            hardware_seed.wrapping_add(0xB0B0),
+        );
+        Ok(Self {
+            hardware: Arc::new(hardware),
+            wta_row: Arc::new(wta_row),
+            wta_col: Arc::new(wta_col),
+        })
     }
 }
 
@@ -199,8 +226,8 @@ pub struct CNashSolver {
 }
 
 impl CNashSolver {
-    /// Builds the hardware for `game`. `hardware_seed` selects the
-    /// silicon instance (device variability and WTA mismatch samples).
+    /// Programs the hardware for `game` ([`ProgrammedCNash::program`])
+    /// and builds a solver around it.
     ///
     /// # Errors
     ///
@@ -211,36 +238,8 @@ impl CNashSolver {
         config: CNashConfig,
         hardware_seed: u64,
     ) -> Result<Self, CoreError> {
-        let hardware = BiCrossbar::build(game, &config.crossbar, hardware_seed)?;
-        let wta_row = WtaTree::build(
-            game.row_actions(),
-            &config.wta,
-            hardware_seed.wrapping_add(0xA11CE),
-        );
-        let wta_col = WtaTree::build(
-            game.col_actions(),
-            &config.wta,
-            hardware_seed.wrapping_add(0xB0B0),
-        );
-        Ok(Self {
-            name: "C-Nash".into(),
-            game: game.clone(),
-            config,
-            hardware: Arc::new(hardware),
-            wta_row: Arc::new(wta_row),
-            wta_col: Arc::new(wta_col),
-            timing: CimTimingModel::nominal(),
-        })
-    }
-
-    /// Shares this solver's programmed hardware (cheap: three `Arc`
-    /// clones, no device re-sampling).
-    pub fn programmed(&self) -> ProgrammedCNash {
-        ProgrammedCNash {
-            hardware: Arc::clone(&self.hardware),
-            wta_row: Arc::clone(&self.wta_row),
-            wta_col: Arc::clone(&self.wta_col),
-        }
+        let programmed = ProgrammedCNash::program(game, &config, hardware_seed)?;
+        Self::from_programmed(game, config, programmed)
     }
 
     /// Rebuilds a solver handle around already-programmed hardware,
@@ -248,10 +247,12 @@ impl CNashSolver {
     ///
     /// The caller is responsible for pairing the instance with the same
     /// `(game, crossbar config, WTA config, hardware seed)` it was
-    /// programmed from — an instance cache does this by keying on the
-    /// game's canonical fingerprint plus the config fingerprints.
-    /// Geometry and interval count are re-validated here, so a
-    /// mis-keyed cache fails loudly instead of producing wrong physics.
+    /// programmed from — `SolverSpec::build_with` in cnash-runtime keys
+    /// it on the game's canonical fingerprint plus the config
+    /// fingerprints. The crossbar's geometry (which
+    /// [`ProgrammedCNash::program`] gave the WTA trees too) and interval
+    /// count are re-validated here, so a mis-keyed instance fails loudly
+    /// instead of producing wrong physics.
     ///
     /// # Errors
     ///
@@ -276,15 +277,6 @@ impl CNashSolver {
                 "programmed instance has {} intervals, config wants {}",
                 programmed.hardware.intervals(),
                 config.intervals
-            )));
-        }
-        if programmed.wta_row.inputs() != dims.0 || programmed.wta_col.inputs() != dims.1 {
-            return Err(CoreError::InvalidConfig(format!(
-                "programmed WTA trees are {}x{}, game `{}` is {:?}",
-                programmed.wta_row.inputs(),
-                programmed.wta_col.inputs(),
-                game.name(),
-                dims
             )));
         }
         Ok(Self {
@@ -380,13 +372,21 @@ pub struct IdealSolver {
 
 impl IdealSolver {
     /// Wraps a game with an ideal-evaluation solver.
-    pub fn new(game: &BimatrixGame, config: CNashConfig) -> Self {
-        Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] if `config.intervals` is zero
+    /// (the probability grid needs at least one interval).
+    pub fn new(game: &BimatrixGame, config: CNashConfig) -> Result<Self, CoreError> {
+        if config.intervals == 0 {
+            return Err(CoreError::InvalidConfig("ideal needs intervals > 0".into()));
+        }
+        Ok(Self {
             name: "C-Nash (ideal eval)".into(),
             game: game.clone(),
             config,
             timing: CimTimingModel::nominal(),
-        }
+        })
     }
 
     fn evaluate(&self, state: &GridStrategyPair) -> f64 {
@@ -536,8 +536,9 @@ mod tests {
         // the full paper noise model on.
         let g = games::bird_game();
         let cold = CNashSolver::new(&g, CNashConfig::paper(12), 9).unwrap();
+        let programmed = ProgrammedCNash::program(&g, &CNashConfig::paper(12), 9).unwrap();
         let warm =
-            CNashSolver::from_programmed(&g, CNashConfig::paper(12), cold.programmed()).unwrap();
+            CNashSolver::from_programmed(&g, CNashConfig::paper(12), programmed.clone()).unwrap();
         for seed in 0..3 {
             assert_eq!(cold.run(seed), warm.run(seed));
         }
@@ -546,7 +547,7 @@ mod tests {
         let swept = CNashSolver::from_programmed(
             &g,
             CNashConfig::paper(12).with_iterations(500),
-            cold.programmed(),
+            programmed,
         )
         .unwrap();
         assert_eq!(swept.config().iterations, 500);
@@ -557,9 +558,7 @@ mod tests {
     fn from_programmed_rejects_mismatched_instances() {
         let bos = games::battle_of_the_sexes(); // 2x2
         let bird = games::bird_game(); // 3x3
-        let programmed = CNashSolver::new(&bos, CNashConfig::paper(12), 0)
-            .unwrap()
-            .programmed();
+        let programmed = ProgrammedCNash::program(&bos, &CNashConfig::paper(12), 0).unwrap();
         assert!(matches!(
             CNashSolver::from_programmed(&bird, CNashConfig::paper(12), programmed.clone()),
             Err(CoreError::InvalidConfig(_))
@@ -590,10 +589,19 @@ mod tests {
     fn ideal_solver_matches_cnash_ideal_semantics() {
         let g = games::stag_hunt();
         let cfg = CNashConfig::ideal(12);
-        let ideal = IdealSolver::new(&g, cfg);
+        let ideal = IdealSolver::new(&g, cfg).unwrap();
         let out = ideal.run(4);
         assert!(out.is_equilibrium);
         assert!(out.total_time > 0.0);
+    }
+
+    #[test]
+    fn ideal_solver_rejects_zero_intervals() {
+        let g = games::stag_hunt();
+        match IdealSolver::new(&g, CNashConfig::ideal(0)) {
+            Err(CoreError::InvalidConfig(msg)) => assert!(msg.contains("intervals"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

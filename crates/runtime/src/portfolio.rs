@@ -185,7 +185,7 @@ mod tests {
             },
             PortfolioJob {
                 label: "ideal".into(),
-                solver: Box::new(IdealSolver::new(&game, cfg)),
+                solver: Box::new(IdealSolver::new(&game, cfg).unwrap()),
                 ground_truth: truth,
                 runs: 40,
                 base_seed: 1000,

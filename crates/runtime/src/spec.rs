@@ -28,16 +28,23 @@ use crate::batch::EarlyStop;
 use crate::json::{Json, JsonError};
 use crate::portfolio::{PortfolioJob, PortfolioStop};
 use cnash_core::baselines::DWaveNashSolver;
-use cnash_core::{CNashConfig, CNashSolver, CfrConfig, CfrSolver, IdealSolver, NashSolver};
+use cnash_core::{
+    CNashConfig, CNashSolver, CfrConfig, CfrSolver, CoreError, IdealSolver, NashSolver,
+    ProgrammedCNash,
+};
 use cnash_device::corners::ProcessCorner;
+use cnash_game::canonical::Hasher64;
 use cnash_game::families::Family;
 use cnash_game::games;
 use cnash_game::generators;
 use cnash_game::library;
-use cnash_game::support_enum::enumerate_equilibria;
-use cnash_game::{BimatrixGame, Matrix};
+use cnash_game::support_enum::{enumerate_equilibria, MAX_ENUM_ACTIONS};
+use cnash_game::{BimatrixGame, Equilibrium, Matrix};
 use cnash_qubo::dwave::DWaveModel;
+use cnash_qubo::squbo::{SQubo, SQuboWeights};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error constructing domain objects from specs (or parsing their JSON).
 #[derive(Debug, Clone, PartialEq)]
@@ -62,6 +69,14 @@ impl From<JsonError> for SpecError {
     }
 }
 
+impl From<CoreError> for SpecError {
+    fn from(e: CoreError) -> Self {
+        SpecError {
+            message: e.to_string(),
+        }
+    }
+}
+
 fn spec_err<T>(message: impl Into<String>) -> Result<T, SpecError> {
     Err(SpecError {
         message: message.into(),
@@ -80,6 +95,28 @@ pub fn dwave_model(name: &str) -> Result<DWaveModel, SpecError> {
         "advantage4.1" => Ok(DWaveModel::advantage_4_1()),
         other => spec_err(format!("unknown D-Wave model `{other}`")),
     }
+}
+
+/// The ground truth of `game` — support enumeration of its equilibria at
+/// the workspace tolerance `1e-9` — returned unrun, so a caller can check
+/// the bound first and memoize the enumeration.
+///
+/// # Errors
+///
+/// Errors naming the support-enumeration limit when either player has
+/// more than [`MAX_ENUM_ACTIONS`] actions.
+pub fn ground_truth(
+    game: &BimatrixGame,
+) -> Result<impl FnOnce() -> Vec<Equilibrium> + '_, SpecError> {
+    let (n, m) = (game.row_actions(), game.col_actions());
+    if n > MAX_ENUM_ACTIONS || m > MAX_ENUM_ACTIONS {
+        return spec_err(format!(
+            "ground truth: game `{}` is {n}x{m}, past the \
+             {MAX_ENUM_ACTIONS}-action support-enumeration limit",
+            game.name()
+        ));
+    }
+    Ok(move || enumerate_equilibria(game, 1e-9))
 }
 
 /// Encodes a 64-bit seed losslessly: as a JSON number when exactly
@@ -617,84 +654,155 @@ pub enum SolverSpec {
     },
 }
 
+/// What a [`SolverSpec`] programs once per game, for every solver built
+/// on that game to share: the C-Nash bi-crossbar and WTA trees, or the
+/// D-Wave S-QUBO. Opaque: only [`SolverSpec::build_with`] makes and
+/// reads it.
+#[derive(Debug, Clone)]
+pub struct Programmed(Hardware);
+
+#[derive(Debug, Clone)]
+enum Hardware {
+    CNash(ProgrammedCNash),
+    SQubo(Arc<SQubo>),
+}
+
+/// The programming step [`SolverSpec::build_with`] hands its memo.
+type Program<'a> = &'a dyn Fn() -> Result<Programmed, SpecError>;
+
 impl SolverSpec {
-    /// Builds the concrete solver for `game`.
+    /// Builds the concrete solver for `game`, programming its hardware
+    /// afresh ([`SolverSpec::build_with`] with no memo).
     ///
     /// # Errors
     ///
-    /// Errors if the spec is invalid or the game cannot be mapped onto
-    /// the hardware model.
+    /// Same contract as [`SolverSpec::build_with`].
     pub fn build(&self, game: &BimatrixGame) -> Result<Box<dyn NashSolver>, SpecError> {
-        match self {
+        self.build_with(game, |_, program| program())
+    }
+
+    /// Builds the concrete solver for `game`, getting its programmed
+    /// hardware from `memo`.
+    ///
+    /// `memo(key, program)` returns the instance programmed under `key`:
+    /// the result of `program()`, or an earlier one for the same key. The
+    /// key hashes everything programming reads — `"cnash"`, the game's
+    /// canonical fingerprint, the crossbar's program fingerprint, the WTA
+    /// config and the hardware seed; or `"squbo"` and the fingerprint — so
+    /// specs that differ only in per-request knobs (iterations, gap
+    /// tolerance, WTA routing, D-Wave model or reads) share one key.
+    /// `ideal` and `cfr` program nothing and never call `memo`; neither
+    /// does a spec whose config or D-Wave model is invalid.
+    ///
+    /// # Errors
+    ///
+    /// Errors, prefixed with the solver type (`"cnash: …"`), if the spec
+    /// is invalid, the game cannot be mapped onto the hardware model, or
+    /// `memo` returns an error.
+    pub fn build_with(
+        &self,
+        game: &BimatrixGame,
+        memo: impl FnOnce(u64, Program) -> Result<Programmed, SpecError>,
+    ) -> Result<Box<dyn NashSolver>, SpecError> {
+        self.instantiate(game, memo).map_err(|e| SpecError {
+            message: format!("{}: {}", self.kind(), e.message),
+        })
+    }
+
+    fn instantiate(
+        &self,
+        game: &BimatrixGame,
+        memo: impl FnOnce(u64, Program) -> Result<Programmed, SpecError>,
+    ) -> Result<Box<dyn NashSolver>, SpecError> {
+        const KEY_CLASH: &str = "programmed instance of another solver type under this key";
+        Ok(match self {
             SolverSpec::CNash {
                 config,
-                hardware_seed,
+                hardware_seed: seed,
             } => {
-                let solver =
-                    CNashSolver::new(game, config.build()?, *hardware_seed).map_err(|e| {
-                        SpecError {
-                            message: format!("cnash: {e}"),
-                        }
-                    })?;
-                Ok(Box::new(solver))
+                let config = config.build()?;
+                let key = Hasher64::new()
+                    .write_str("cnash")
+                    .write_u64(game.canonical_fingerprint())
+                    .write_u64(config.crossbar.program_fingerprint())
+                    .write_str(&format!("{:?}", config.wta))
+                    .write_u64(*seed)
+                    .finish();
+                let program = || {
+                    let hardware = ProgrammedCNash::program(game, &config, *seed)?;
+                    Ok(Programmed(Hardware::CNash(hardware)))
+                };
+                let Programmed(Hardware::CNash(hardware)) = memo(key, &program)? else {
+                    return spec_err(KEY_CLASH);
+                };
+                Box::new(CNashSolver::from_programmed(game, config, hardware)?)
             }
-            SolverSpec::Ideal { config } => Ok(Box::new(IdealSolver::new(game, config.build()?))),
+            SolverSpec::Ideal { config } => Box::new(IdealSolver::new(game, config.build()?)?),
             SolverSpec::DWave {
                 model,
-                reads_per_run,
+                reads_per_run: reads,
             } => {
-                let solver = DWaveNashSolver::new(game, dwave_model(model)?, *reads_per_run)
-                    .map_err(|e| SpecError {
-                        message: format!("dwave: {e}"),
-                    })?;
-                Ok(Box::new(solver))
+                let model = dwave_model(model)?;
+                let key = Hasher64::new()
+                    .write_str("squbo")
+                    .write_u64(game.canonical_fingerprint())
+                    .finish();
+                let program = || {
+                    let weights = SQuboWeights::default();
+                    let squbo = SQubo::build(game, &weights).map_err(CoreError::from)?;
+                    Ok(Programmed(Hardware::SQubo(Arc::new(squbo))))
+                };
+                let Programmed(Hardware::SQubo(squbo)) = memo(key, &program)? else {
+                    return spec_err(KEY_CLASH);
+                };
+                Box::new(DWaveNashSolver::from_programmed(
+                    game, model, *reads, squbo,
+                )?)
             }
             SolverSpec::Cfr { iterations } => {
-                let solver =
-                    CfrSolver::new(game, CfrConfig::new(*iterations)).map_err(|e| SpecError {
-                        message: format!("cfr: {e}"),
-                    })?;
-                Ok(Box::new(solver))
+                Box::new(CfrSolver::new(game, CfrConfig::new(*iterations))?)
             }
+        })
+    }
+
+    /// The solver's `type` tag in JSON.
+    fn kind(&self) -> &'static str {
+        match self {
+            SolverSpec::CNash { .. } => "cnash",
+            SolverSpec::Ideal { .. } => "ideal",
+            SolverSpec::DWave { .. } => "dwave",
+            SolverSpec::Cfr { .. } => "cfr",
         }
     }
 
     /// Serialises to JSON.
     pub fn to_json(&self) -> Json {
+        let mut obj = match self {
+            SolverSpec::CNash { config, .. } | SolverSpec::Ideal { config } => {
+                match config.to_json() {
+                    Json::Obj(map) => map,
+                    _ => unreachable!("ConfigSpec::to_json returns an object"),
+                }
+            }
+            SolverSpec::DWave { .. } | SolverSpec::Cfr { .. } => BTreeMap::new(),
+        };
+        obj.insert("type".into(), Json::str(self.kind()));
+        let mut set = |key: &str, value| obj.insert(key.into(), value);
         match self {
-            SolverSpec::CNash {
-                config,
-                hardware_seed,
-            } => {
-                let mut obj = match config.to_json() {
-                    Json::Obj(map) => map,
-                    _ => unreachable!("ConfigSpec::to_json returns an object"),
-                };
-                obj.insert("type".into(), Json::str("cnash"));
-                obj.insert("hardware_seed".into(), seed_to_json(*hardware_seed));
-                Json::Obj(obj)
+            SolverSpec::CNash { hardware_seed, .. } => {
+                set("hardware_seed", seed_to_json(*hardware_seed))
             }
-            SolverSpec::Ideal { config } => {
-                let mut obj = match config.to_json() {
-                    Json::Obj(map) => map,
-                    _ => unreachable!("ConfigSpec::to_json returns an object"),
-                };
-                obj.insert("type".into(), Json::str("ideal"));
-                Json::Obj(obj)
-            }
+            SolverSpec::Ideal { .. } => None,
             SolverSpec::DWave {
                 model,
                 reads_per_run,
-            } => Json::obj([
-                ("type", Json::str("dwave")),
-                ("model", Json::str(model.clone())),
-                ("reads_per_run", Json::num(*reads_per_run as f64)),
-            ]),
-            SolverSpec::Cfr { iterations } => Json::obj([
-                ("type", Json::str("cfr")),
-                ("iterations", Json::num(*iterations as f64)),
-            ]),
-        }
+            } => {
+                set("model", Json::str(model.clone()));
+                set("reads_per_run", Json::num(*reads_per_run as f64))
+            }
+            SolverSpec::Cfr { iterations } => set("iterations", Json::num(*iterations as f64)),
+        };
+        Json::Obj(obj)
     }
 
     /// Deserialises from JSON.
@@ -796,11 +904,13 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Errors if the game or solver cannot be built.
+    /// Errors if the game or solver cannot be built, or if the game is
+    /// past the ground truth's support-enumeration limit.
     pub fn prepare(&self) -> Result<PortfolioJob, SpecError> {
         let game = self.game.build()?;
+        let enumerate = ground_truth(&game)?;
         let solver = self.solver.build(&game)?;
-        let ground_truth = enumerate_equilibria(&game, 1e-9);
+        let ground_truth = enumerate();
         Ok(PortfolioJob {
             label: self.label_for(&game),
             solver,
@@ -1383,6 +1493,26 @@ mod tests {
         assert!(SolverSpec::Cfr { iterations: 0 }
             .build(&games::battle_of_the_sexes())
             .is_err());
+    }
+
+    #[test]
+    fn jobs_past_the_enumeration_limit_are_rejected() {
+        let job = JobSpec {
+            game: GameSpec::Random {
+                rows: 4,
+                cols: 17,
+                max_payoff: 3,
+                seed: 0,
+            },
+            solver: SolverSpec::Cfr { iterations: 10 },
+            ..sample_job()
+        };
+        let err = job.prepare().err().expect("rejected");
+        assert_eq!(
+            err.message,
+            "ground truth: game `random-4x17-seed0` is 4x17, past the \
+             16-action support-enumeration limit"
+        );
     }
 
     #[test]

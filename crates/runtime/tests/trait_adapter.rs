@@ -84,7 +84,8 @@ fn solver_outcomes_are_bit_identical_across_typed_and_spec_entry_points() {
         let typed = IdealSolver::new(
             &game,
             ConfigSpec::ideal(12).with_iterations(300).build().unwrap(),
-        );
+        )
+        .unwrap();
         assert_eq!(via_spec.run(seed), typed.run(seed), "{}", game.name());
 
         let cfr_spec = SolverSpec::Cfr { iterations: 500 };

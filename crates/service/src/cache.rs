@@ -10,42 +10,29 @@
 //!   for coverage statistics.
 //!
 //! Both are pure functions of the game's *canonical* payoff structure
-//! (plus, for programming, the hardware config and silicon seed), so
-//! the cache keys them on [`BimatrixGame::canonical_fingerprint`]
-//! combined with the programming-relevant config fingerprints.
-//! Parameter sweeps that only change per-request knobs — iteration
-//! budget, gap tolerance, WTA routing, D-Wave model or read budget,
-//! run counts, seeds — all hit the same cache line and skip the
-//! `O(n·m)` mapping path entirely.
+//! (plus, for programming, the hardware config and silicon seed). The
+//! solver spec defines what is programmed and under which key
+//! ([`SolverSpec::build_with`]); this cache only memoizes what the spec
+//! programs under that key, and the ground truth under
+//! [`BimatrixGame::canonical_fingerprint`]. Parameter sweeps that only
+//! change per-request knobs — iteration budget, gap tolerance, WTA
+//! routing, D-Wave model or read budget, run counts, seeds — all hit the
+//! same cache line and skip the `O(n·m)` mapping path entirely.
 //!
 //! Lookups are **single-flight**: concurrent requests for the same key
 //! block on one build (via [`OnceLock`]) instead of programming the
 //! same instance twice, so a burst of identical requests does the
 //! expensive work exactly once.
 
-use cnash_core::baselines::DWaveNashSolver;
-use cnash_core::{CNashSolver, IdealSolver, NashSolver, ProgrammedCNash};
-use cnash_game::canonical::Hasher64;
-use cnash_game::support_enum::enumerate_equilibria;
+use cnash_core::NashSolver;
 use cnash_game::{BimatrixGame, Equilibrium};
-use cnash_qubo::squbo::{SQubo, SQuboWeights};
-use cnash_runtime::spec::{dwave_model, GameSpec, SolverSpec};
+use cnash_runtime::spec::{self, Programmed, SolverSpec};
 use cnash_runtime::{Json, SpecError};
 use cnash_telemetry::{Counter, Registry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Ground-truth enumeration tolerance (the workspace-wide epsilon used
-/// by every evaluation harness).
-const TRUTH_TOL: f64 = 1e-9;
-
-#[derive(Debug, Clone)]
-enum ProgrammedInstance {
-    CNash(ProgrammedCNash),
-    SQubo(Arc<SQubo>),
-}
-
-type InstanceSlot = Arc<OnceLock<Result<ProgrammedInstance, SpecError>>>;
+type InstanceSlot = Arc<OnceLock<Result<Programmed, SpecError>>>;
 type TruthSlot = Arc<OnceLock<Arc<Vec<Equilibrium>>>>;
 
 /// A solver materialised for one request.
@@ -178,201 +165,103 @@ impl InstanceCache {
         }
     }
 
-    /// Builds the game and solver for a request, reusing the programmed
-    /// instance when an equivalent one is cached.
+    /// Builds the solver for a request on an already-built game, reusing
+    /// the programmed instance when an equivalent one is cached.
+    ///
+    /// A spec rejected before the lookup (an invalid config or D-Wave
+    /// model, or an `ideal` or `cfr` spec that fails to build) neither
+    /// programs nor counts. Every other request counts one hit or miss;
+    /// `ideal` and `cfr`, which program nothing, count a miss.
     ///
     /// # Errors
     ///
-    /// Errors on invalid specs or unmappable games. Build errors are
-    /// cached too (negative caching): re-requesting a game that cannot
-    /// be programmed fails fast instead of re-attempting the mapping.
-    pub fn prepare(
-        &self,
-        game_spec: &GameSpec,
-        solver_spec: &SolverSpec,
-    ) -> Result<PreparedJob, SpecError> {
-        self.prepare_with_game(game_spec.build()?, solver_spec)
-    }
-
-    /// [`InstanceCache::prepare`] for a game that is already built —
-    /// the solve fast path builds the game once to derive the solution
-    /// store key and must not pay (or risk divergence from) a second
-    /// `GameSpec::build`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`InstanceCache::prepare`].
+    /// Errors on invalid specs or unmappable games. Programming errors
+    /// are cached too (negative caching): re-requesting a game that
+    /// cannot be programmed fails fast instead of re-attempting the
+    /// mapping.
     pub fn prepare_with_game(
         &self,
         game: BimatrixGame,
         solver_spec: &SolverSpec,
     ) -> Result<PreparedJob, SpecError> {
-        let game_fp = game.canonical_fingerprint();
-        match solver_spec {
-            SolverSpec::CNash {
-                config,
-                hardware_seed,
-            } => {
-                let built = config.build().map_err(|e| SpecError {
-                    message: format!("cnash: {e}"),
-                })?;
-                let mut h = Hasher64::new();
-                h.write_str("cnash")
-                    .write_u64(game_fp)
-                    .write_u64(built.crossbar.program_fingerprint())
-                    .write_str(&format!("{:?}", built.wta))
-                    .write_u64(*hardware_seed);
-                let (slot, hit) = self.instance_slot(h.finish());
-                let programmed = slot.get_or_init(|| {
-                    CNashSolver::new(&game, built, *hardware_seed)
-                        .map(|s| ProgrammedInstance::CNash(s.programmed()))
-                        .map_err(|e| SpecError {
-                            message: format!("cnash: {e}"),
-                        })
-                });
-                // Finding a negatively-cached failure skips the mapping
-                // attempt but serves nothing — not a hit.
-                let hit = hit && programmed.is_ok();
-                self.count_instance(hit);
-                let ProgrammedInstance::CNash(parts) = programmed.clone()? else {
-                    return Err(SpecError {
-                        message: "instance cache key collision (cnash)".into(),
-                    });
-                };
-                let solver =
-                    CNashSolver::from_programmed(&game, built, parts).map_err(|e| SpecError {
-                        message: format!("cnash: {e}"),
-                    })?;
-                Ok(PreparedJob {
-                    game,
-                    solver: Box::new(solver),
-                    cache_hit: hit,
-                })
-            }
-            SolverSpec::DWave {
-                model,
-                reads_per_run,
-            } => {
-                let device = dwave_model(model)?;
-                let mut h = Hasher64::new();
-                h.write_str("squbo").write_u64(game_fp);
-                let (slot, hit) = self.instance_slot(h.finish());
-                let programmed = slot.get_or_init(|| {
-                    SQubo::build(&game, &SQuboWeights::default())
-                        .map(|s| ProgrammedInstance::SQubo(Arc::new(s)))
-                        .map_err(|e| SpecError {
-                            message: format!("dwave: {e}"),
-                        })
-                });
-                let hit = hit && programmed.is_ok();
-                self.count_instance(hit);
-                let ProgrammedInstance::SQubo(squbo) = programmed.clone()? else {
-                    return Err(SpecError {
-                        message: "instance cache key collision (squbo)".into(),
-                    });
-                };
-                let solver = DWaveNashSolver::from_programmed(&game, device, *reads_per_run, squbo)
-                    .map_err(|e| SpecError {
-                        message: format!("dwave: {e}"),
-                    })?;
-                Ok(PreparedJob {
-                    game,
-                    solver: Box::new(solver),
-                    cache_hit: hit,
-                })
-            }
-            SolverSpec::Ideal { config } => {
-                // Nothing is programmed: the ideal solver evaluates in
-                // software. Counted as a miss (no programming skipped).
-                self.count_instance(false);
-                let built = config.build().map_err(|e| SpecError {
-                    message: format!("ideal: {e}"),
-                })?;
-                let solver = IdealSolver::new(&game, built);
-                Ok(PreparedJob {
-                    game,
-                    solver: Box::new(solver),
-                    cache_hit: false,
-                })
-            }
-            SolverSpec::Cfr { .. } => {
-                // CFR runs in software on the bimatrix game — no
-                // crossbar, no QUBO, nothing to memoize. Counted as a
-                // miss like `ideal`.
-                self.count_instance(false);
-                let solver = solver_spec.build(&game)?;
-                Ok(PreparedJob {
-                    game,
-                    solver,
-                    cache_hit: false,
-                })
-            }
+        let mut looked_up = None;
+        let solver = solver_spec.build_with(&game, |key, program| {
+            let (slot, found) = slot(&self.instances, self.max_instances, key);
+            let programmed = slot.get_or_init(program).clone();
+            // Finding a negatively-cached failure skips the mapping
+            // attempt but serves nothing — not a hit.
+            looked_up = Some(found && programmed.is_ok());
+            programmed
+        });
+        let hit = looked_up == Some(true);
+        if hit {
+            self.instance_hits.inc();
+        } else if looked_up.is_some() || solver.is_ok() {
+            self.instance_misses.inc();
         }
+        Ok(PreparedJob {
+            game,
+            solver: solver?,
+            cache_hit: hit,
+        })
     }
 
     /// The (cached) ground-truth equilibria of `game`.
-    pub fn ground_truth(&self, game: &BimatrixGame) -> Arc<Vec<Equilibrium>> {
+    ///
+    /// # Errors
+    ///
+    /// Errors, before the lookup (nothing counts), when `game` is past
+    /// the support-enumeration limit ([`spec::ground_truth`]).
+    pub fn ground_truth(&self, game: &BimatrixGame) -> Result<Arc<Vec<Equilibrium>>, SpecError> {
+        let enumerate = spec::ground_truth(game)?;
         let key = game.canonical_fingerprint();
-        let (slot, hit) = {
-            let mut map = self.truths.lock().expect("cache poisoned");
-            match map.get(&key) {
-                Some(slot) => (Arc::clone(slot), true),
-                None => {
-                    evict_to_fit(&mut map, self.max_truths, key);
-                    let slot: TruthSlot = Arc::new(OnceLock::new());
-                    map.insert(key, Arc::clone(&slot));
-                    (slot, false)
-                }
-            }
-        };
+        let (slot, hit) = slot(&self.truths, self.max_truths, key);
         if hit {
             self.truth_hits.inc();
         } else {
             self.truth_misses.inc();
         }
-        Arc::clone(slot.get_or_init(|| Arc::new(enumerate_equilibria(game, TRUTH_TOL))))
-    }
-
-    fn instance_slot(&self, key: u64) -> (InstanceSlot, bool) {
-        let mut map = self.instances.lock().expect("cache poisoned");
-        match map.get(&key) {
-            Some(slot) => (Arc::clone(slot), true),
-            None => {
-                evict_to_fit(&mut map, self.max_instances, key);
-                let slot: InstanceSlot = Arc::new(OnceLock::new());
-                map.insert(key, Arc::clone(&slot));
-                (slot, false)
-            }
-        }
-    }
-
-    fn count_instance(&self, hit: bool) {
-        if hit {
-            self.instance_hits.inc();
-        } else {
-            self.instance_misses.inc();
-        }
+        Ok(Arc::clone(slot.get_or_init(|| Arc::new(enumerate()))))
     }
 }
 
-/// Makes room for `incoming` in a bounded map by removing an arbitrary
-/// resident entry when the map is at capacity (random replacement —
-/// HashMap iteration order is effectively random). In-flight holders of
-/// an evicted slot keep their `Arc`; the entry just stops being
-/// findable.
-fn evict_to_fit<V>(map: &mut HashMap<u64, V>, capacity: usize, incoming: u64) {
+/// The slot under `key` in a bounded map, and whether it was resident.
+/// A new slot may evict an arbitrary resident entry first (random
+/// replacement — HashMap iteration order is effectively random);
+/// in-flight holders of an evicted slot keep their `Arc`, the entry just
+/// stops being findable.
+fn slot<V>(
+    map: &Mutex<HashMap<u64, Arc<OnceLock<V>>>>,
+    capacity: usize,
+    key: u64,
+) -> (Arc<OnceLock<V>>, bool) {
+    let mut map = map.lock().expect("cache poisoned");
+    if let Some(slot) = map.get(&key) {
+        return (Arc::clone(slot), true);
+    }
     while map.len() >= capacity {
-        let Some(&victim) = map.keys().find(|&&k| k != incoming) else {
-            return;
+        let Some(&victim) = map.keys().find(|&&k| k != key) else {
+            break;
         };
         map.remove(&victim);
     }
+    let slot = Arc::new(OnceLock::new());
+    map.insert(key, Arc::clone(&slot));
+    (slot, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnash_runtime::ConfigSpec;
+    use cnash_runtime::{ConfigSpec, GameSpec};
+
+    fn prepare(
+        cache: &InstanceCache,
+        game: &GameSpec,
+        spec: &SolverSpec,
+    ) -> Result<PreparedJob, SpecError> {
+        cache.prepare_with_game(game.build()?, spec)
+    }
 
     fn cnash_spec(iterations: usize) -> SolverSpec {
         SolverSpec::CNash {
@@ -385,9 +274,9 @@ mod tests {
     fn repeat_requests_hit_and_match_cold_runs_bitwise() {
         let cache = InstanceCache::new();
         let game = GameSpec::Builtin("battle_of_the_sexes".into());
-        let cold = cache.prepare(&game, &cnash_spec(800)).unwrap();
+        let cold = prepare(&cache, &game, &cnash_spec(800)).unwrap();
         assert!(!cold.cache_hit);
-        let warm = cache.prepare(&game, &cnash_spec(800)).unwrap();
+        let warm = prepare(&cache, &game, &cnash_spec(800)).unwrap();
         assert!(warm.cache_hit);
         assert_eq!(cold.solver.run(3), warm.solver.run(3));
         let stats = cache.stats();
@@ -399,22 +288,22 @@ mod tests {
     fn parameter_sweeps_share_one_programmed_instance() {
         let cache = InstanceCache::new();
         let game = GameSpec::Builtin("bird_game".into());
-        assert!(!cache.prepare(&game, &cnash_spec(500)).unwrap().cache_hit);
+        assert!(!prepare(&cache, &game, &cnash_spec(500)).unwrap().cache_hit);
         // Different iteration budget: same programming.
-        assert!(cache.prepare(&game, &cnash_spec(900)).unwrap().cache_hit);
+        assert!(prepare(&cache, &game, &cnash_spec(900)).unwrap().cache_hit);
         // Different hardware seed: different silicon, new instance.
         let other_seed = SolverSpec::CNash {
             config: ConfigSpec::paper(12),
             hardware_seed: 6,
         };
-        assert!(!cache.prepare(&game, &other_seed).unwrap().cache_hit);
+        assert!(!prepare(&cache, &game, &other_seed).unwrap().cache_hit);
         // Different preset (ideal crossbar ≠ paper crossbar): new
         // instance even at the same seed.
         let ideal_hw = SolverSpec::CNash {
             config: ConfigSpec::ideal(12),
             hardware_seed: 5,
         };
-        assert!(!cache.prepare(&game, &ideal_hw).unwrap().cache_hit);
+        assert!(!prepare(&cache, &game, &ideal_hw).unwrap().cache_hit);
         assert_eq!(cache.stats().instances, 3);
     }
 
@@ -425,10 +314,13 @@ mod tests {
         let cache = InstanceCache::new();
         let builtin = GameSpec::Builtin("matching_pennies".into());
         let explicit = GameSpec::from_game(&builtin.build().unwrap());
-        assert!(!cache.prepare(&builtin, &cnash_spec(500)).unwrap().cache_hit);
         assert!(
-            cache
-                .prepare(&explicit, &cnash_spec(500))
+            !prepare(&cache, &builtin, &cnash_spec(500))
+                .unwrap()
+                .cache_hit
+        );
+        assert!(
+            prepare(&cache, &explicit, &cnash_spec(500))
                 .unwrap()
                 .cache_hit
         );
@@ -450,10 +342,13 @@ mod tests {
             seed: 4,
         };
         let explicit = GameSpec::from_game(&family.build().unwrap());
-        assert!(!cache.prepare(&family, &cnash_spec(500)).unwrap().cache_hit);
         assert!(
-            cache
-                .prepare(&explicit, &cnash_spec(500))
+            !prepare(&cache, &family, &cnash_spec(500))
+                .unwrap()
+                .cache_hit
+        );
+        assert!(
+            prepare(&cache, &explicit, &cnash_spec(500))
                 .unwrap()
                 .cache_hit
         );
@@ -467,8 +362,7 @@ mod tests {
             seed: 5,
         };
         assert!(
-            !cache
-                .prepare(&other_seed, &cnash_spec(500))
+            !prepare(&cache, &other_seed, &cnash_spec(500))
                 .unwrap()
                 .cache_hit
         );
@@ -483,15 +377,14 @@ mod tests {
             model: model.into(),
             reads_per_run: reads,
         };
-        assert!(!cache.prepare(&game, &spec("2000q", 5)).unwrap().cache_hit);
+        assert!(!prepare(&cache, &game, &spec("2000q", 5)).unwrap().cache_hit);
         // Model and read budget are per-request: still the same S-QUBO.
         assert!(
-            cache
-                .prepare(&game, &spec("advantage4.1", 50))
+            prepare(&cache, &game, &spec("advantage4.1", 50))
                 .unwrap()
                 .cache_hit
         );
-        assert!(cache.prepare(&game, &spec("5000x", 1)).is_err());
+        assert!(prepare(&cache, &game, &spec("5000x", 1)).is_err());
     }
 
     #[test]
@@ -501,16 +394,30 @@ mod tests {
             config: ConfigSpec::ideal(12),
         };
         let game = GameSpec::Builtin("stag_hunt".into());
-        assert!(!cache.prepare(&game, &spec).unwrap().cache_hit);
-        assert!(!cache.prepare(&game, &spec).unwrap().cache_hit);
+        assert!(!prepare(&cache, &game, &spec).unwrap().cache_hit);
+        assert!(!prepare(&cache, &game, &spec).unwrap().cache_hit);
         assert_eq!(cache.stats().instances, 0);
 
         let g = game.build().unwrap();
-        let a = cache.ground_truth(&g);
-        let b = cache.ground_truth(&g);
+        let a = cache.ground_truth(&g).unwrap();
+        let b = cache.ground_truth(&g).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.truth_hits, stats.truth_misses), (1, 1));
+    }
+
+    #[test]
+    fn truth_past_the_enumeration_limit_errors_before_the_lookup() {
+        let cache = InstanceCache::new();
+        let game = GameSpec::Random {
+            rows: 17,
+            cols: 3,
+            max_payoff: 3,
+            seed: 0,
+        };
+        let err = cache.ground_truth(&game.build().unwrap()).unwrap_err();
+        assert!(err.message.contains("16-action"), "{}", err.message);
+        assert_eq!(cache.stats(), InstanceCache::new().stats());
     }
 
     #[test]
@@ -518,9 +425,9 @@ mod tests {
         let cache = InstanceCache::new();
         let spec = SolverSpec::Cfr { iterations: 4000 };
         let game = GameSpec::Builtin("prisoners_dilemma".into());
-        let a = cache.prepare(&game, &spec).unwrap();
+        let a = prepare(&cache, &game, &spec).unwrap();
         assert!(!a.cache_hit);
-        assert!(!cache.prepare(&game, &spec).unwrap().cache_hit);
+        assert!(!prepare(&cache, &game, &spec).unwrap().cache_hit);
         assert_eq!(cache.stats().instances, 0, "nothing to memoize");
         let out = a.solver.run(1);
         assert!(out.is_equilibrium, "PD's pure equilibrium is claimable");
@@ -536,8 +443,8 @@ mod tests {
             row_payoffs: vec![vec![0.5, 0.0], vec![0.0, 1.0]],
             col_payoffs: vec![vec![1.0, 0.0], vec![0.0, 1.0]],
         };
-        assert!(cache.prepare(&game, &cnash_spec(100)).is_err());
-        assert!(cache.prepare(&game, &cnash_spec(100)).is_err());
+        assert!(prepare(&cache, &game, &cnash_spec(100)).is_err());
+        assert!(prepare(&cache, &game, &cnash_spec(100)).is_err());
         let stats = cache.stats();
         assert_eq!(stats.instances, 1, "the failed slot is held");
         // Finding the cached failure is not a hit — nothing was served.
@@ -549,8 +456,8 @@ mod tests {
         let registry = Registry::new();
         let cache = InstanceCache::with_registry(&registry);
         let game = GameSpec::Builtin("battle_of_the_sexes".into());
-        assert!(!cache.prepare(&game, &cnash_spec(100)).unwrap().cache_hit);
-        assert!(cache.prepare(&game, &cnash_spec(100)).unwrap().cache_hit);
+        assert!(!prepare(&cache, &game, &cnash_spec(100)).unwrap().cache_hit);
+        assert!(prepare(&cache, &game, &cnash_spec(100)).unwrap().cache_hit);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["cache_instance_hits"], 1);
         assert_eq!(snap.counters["cache_instance_misses"], 1);
@@ -585,7 +492,7 @@ mod tests {
         };
         let game = |name: &str| GameSpec::Builtin(name.into());
         for name in ["battle_of_the_sexes", "prisoners_dilemma", "stag_hunt"] {
-            assert!(!cache.prepare(&game(name), &spec).unwrap().cache_hit);
+            assert!(!prepare(&cache, &game(name), &spec).unwrap().cache_hit);
         }
         assert_eq!(cache.stats().instances, 2, "capacity holds");
         // Replaying the set stays within capacity and still serves hits
@@ -594,7 +501,7 @@ mod tests {
         // replays can hit, never 0 or 3).
         let hits = ["battle_of_the_sexes", "prisoners_dilemma", "stag_hunt"]
             .iter()
-            .filter(|name| cache.prepare(&game(name), &spec).unwrap().cache_hit)
+            .filter(|name| prepare(&cache, &game(name), &spec).unwrap().cache_hit)
             .count();
         assert!((1..=2).contains(&hits), "hits = {hits}");
         assert_eq!(cache.stats().instances, 2);

@@ -33,7 +33,6 @@ use crate::protocol::{self, Request, TruthPolicy};
 use crate::reactor::{drain_wakeups, waker_fd, PollEvent, Poller, Waker};
 use crate::sched::Scheduler;
 use crate::store::{self, SolutionStore};
-use cnash_game::support_enum::MAX_ENUM_ACTIONS;
 use cnash_runtime::report::game_report_json;
 use cnash_runtime::spec::JobSpec;
 use cnash_runtime::{BatchRunner, CancelToken, Json};
@@ -857,17 +856,16 @@ pub fn execute_solve(
     };
     let program_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    // `enumerate` on a game past the support-enumeration bound would
-    // panic inside the oracle; degrade to `skip` instead and flag the
-    // response so clients know their coverage statistics are against an
-    // empty ground truth they did not ask for.
-    let enumerable = prepared.game.row_actions() <= MAX_ENUM_ACTIONS
-        && prepared.game.col_actions() <= MAX_ENUM_ACTIONS;
-    let degraded = truth == TruthPolicy::Enumerate && !enumerable;
+    // `enumerate` on a game past the support-enumeration limit degrades
+    // to `skip`, and the response is flagged so clients know their
+    // coverage statistics are against an empty ground truth they did not
+    // ask for.
     let ground_truth = match truth {
-        TruthPolicy::Enumerate if !degraded => cache.ground_truth(&prepared.game),
-        _ => Arc::new(Vec::new()),
+        TruthPolicy::Enumerate => cache.ground_truth(&prepared.game),
+        TruthPolicy::Skip => Ok(Arc::default()),
     };
+    let degraded = ground_truth.is_err();
+    let ground_truth = ground_truth.unwrap_or_default();
     let mut runner = BatchRunner::new(job.runs, job.base_seed).threads(batch_threads);
     runner.early_stop = job.early_stop;
     // A *child* of the daemon's shutdown token: shutdown cancels this
@@ -1217,6 +1215,30 @@ mod tests {
         let message = err.get("error").unwrap().as_str().unwrap();
         assert!(message.contains("reads_per_run"), "{message}");
         assert!(!message.contains("panicked"), "{message}");
+        let solved = Json::parse(&responses[1]).unwrap();
+        assert_eq!(solved.get("id").unwrap().as_usize().unwrap(), 2);
+        assert!(solved.get("ok").unwrap().as_bool().unwrap());
+        handle.stop();
+    }
+
+    #[test]
+    fn zero_ideal_intervals_get_an_error_and_the_connection_survives() {
+        let handle = serve(ServiceConfig::default()).unwrap();
+        let responses = send_lines(
+            handle.addr(),
+            &[
+                r#"{"op":"solve","id":1,"job":{"game":{"builtin":"battle_of_the_sexes"},"solver":{"type":"ideal","preset":"ideal","intervals":0},"runs":2,"base_seed":0}}"#,
+                SOLVE_BOS,
+            ],
+        );
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        let err = Json::parse(&responses[0]).unwrap();
+        assert!(!err.get("ok").unwrap().as_bool().unwrap());
+        let message = err.get("error").unwrap().as_str().unwrap();
+        assert_eq!(
+            message,
+            "ideal: invalid configuration: ideal needs intervals > 0"
+        );
         let solved = Json::parse(&responses[1]).unwrap();
         assert_eq!(solved.get("id").unwrap().as_usize().unwrap(), 2);
         assert!(solved.get("ok").unwrap().as_bool().unwrap());

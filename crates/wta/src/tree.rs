@@ -57,11 +57,6 @@ impl WtaTree {
         Self::build(inputs, &WtaConfig::ideal(), 0)
     }
 
-    /// Number of inputs `D`.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
     /// Tree depth `K = ⌈log₂ D⌉`.
     pub fn levels(&self) -> usize {
         self.levels

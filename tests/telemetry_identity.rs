@@ -73,7 +73,8 @@ proptest! {
         let config = CNashConfig::paper(12).with_iterations(ITERATIONS);
         let cnash = CNashSolver::new(&game, config, hardware_seed)
             .expect("game maps onto the crossbar");
-        let ideal = IdealSolver::new(&game, CNashConfig::ideal(12).with_iterations(ITERATIONS));
+        let ideal = IdealSolver::new(&game, CNashConfig::ideal(12).with_iterations(ITERATIONS))
+            .expect("twelve intervals");
         let dwave = DWaveNashSolver::new(&game, DWaveModel::advantage_4_1(), 2)
             .expect("integer game builds its S-QUBO");
 
