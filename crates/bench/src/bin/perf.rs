@@ -1,5 +1,5 @@
 //! SA hot-path performance harness: full re-evaluation vs the
-//! incremental delta-energy evaluators.
+//! incremental delta-energy evaluators, plus an exact-oracle section.
 //!
 //! `cargo run --release -p cnash-bench --bin perf -- [--quick] [--out PATH]`
 //!
@@ -24,12 +24,19 @@
 //! crossbar walk's incremental energies must equal a from-scratch
 //! evaluation at its final and best states.
 //!
+//! A record-only **exact-oracle** section times `enumerate_exact` per
+//! game for every family at 5×5 and 6×6, and runs every singular-pair
+//! linear program of those games (`singular_side_programs`) through
+//! both exact simplex tableaux: the fraction-free `i128` one must
+//! return exactly the `Rat` one's vertex, or report overflow.
+//!
 //! Writes `BENCH_sa_hotpath.json` in the shared BENCH schema
 //! (`cnash_bench::report`). Exit status doubles as the CI regression
 //! gate:
 //!
 //! * exit 2 — equivalence check failed (the delta side diverged from
-//!   full evaluation, a correctness bug),
+//!   full evaluation, or the two simplex tableaux disagreed: a
+//!   correctness bug),
 //! * exit 1 — delta speedup at any crossbar point fell below 1.0×
 //!   (the incremental subsystem regressed into a slowdown),
 //! * exit 0 — measurements recorded.
@@ -41,12 +48,16 @@ use cnash_bench::client::fail;
 use cnash_bench::report::{Gate, Report};
 use cnash_bench::Cli;
 use cnash_core::{CNashConfig, CNashSolver};
+use cnash_exact::{feasible_point, feasible_point_integer, Constraint, Rat};
+use cnash_game::exact_enum::{enumerate_exact, singular_side_programs};
+use cnash_game::families::Family;
 use cnash_game::games::paper_benchmarks;
 use cnash_game::generators::random_integer_game;
 use cnash_qubo::annealer::{anneal_incremental, anneal_with, AnnealParams};
 use cnash_qubo::{DWaveModel, Qubo, SQubo, SQuboWeights};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Records one grid point's full and delta timings; returns whether the
@@ -221,6 +232,54 @@ fn bench_paper_squbos(report: &mut Report, seed: u64) -> bool {
     equivalent
 }
 
+/// Times `enumerate_exact` over `seeds` games of one family at one
+/// size (record-only), and decides every singular-pair program of
+/// those games with both simplex tableaux. Returns whether the integer
+/// tableau matched the `Rat` one on every program it did not overflow.
+fn bench_exact(report: &mut Report, family: Family, size: usize, seeds: u64) -> bool {
+    let games: Vec<_> = (0..seeds)
+        .map(|seed| {
+            family
+                .build(size, family.default_scale(), family.default_knob(), seed)
+                .expect("valid grid point")
+        })
+        .collect();
+    let start = Instant::now();
+    for game in &games {
+        black_box(enumerate_exact(game));
+    }
+    let us = start.elapsed().as_secs_f64() * 1e6 / games.len() as f64;
+
+    let (mut programs, mut overflows, mut equal) = (0usize, 0usize, true);
+    for program in games.iter().flat_map(singular_side_programs) {
+        let vars = program[0].coeffs.len();
+        let rat: Vec<Constraint> = program
+            .iter()
+            .map(|c| Constraint {
+                coeffs: c.coeffs.iter().map(|&v| Rat::from_int(v)).collect(),
+                rel: c.rel,
+                rhs: Rat::from_int(c.rhs),
+            })
+            .collect();
+        programs += 1;
+        match feasible_point_integer(vars, &program) {
+            Ok(point) => equal &= point == feasible_point(vars, &rat),
+            Err(_) => overflows += 1,
+        }
+    }
+
+    let case = format!("{}-{size}x{size}", family.name());
+    for (metric, value, unit) in [
+        ("enumerate_us_per_game", us, "us"),
+        ("singular_programs", programs as f64, "count"),
+        ("simplex_overflows", overflows as f64, "count"),
+        ("simplex_equivalent", f64::from(u8::from(equal)), "bool"),
+    ] {
+        report.record("exact", &case, metric, value, unit, None);
+    }
+    equal
+}
+
 /// `(actions per side, max payoff, SA iterations)` crossbar grid points.
 type CrossbarGrid = Vec<(usize, u32, usize)>;
 /// `(variables, coupling density, sweeps)` QUBO grid points.
@@ -235,6 +294,9 @@ fn main() {
     // paper S-QUBOs), the 4×4 and 6×6 steps up to 8×8, and the 64×64
     // point. Every crossbar point is gated; the QUBO points are
     // record-only.
+    // The exact-oracle section runs every family at 5×5 and 6×6 in
+    // both grids; the full grid times more seeds.
+    let exact_seeds = if cli.quick { 10 } else { 40 };
     let (crossbar_grid, qubo_grid): (CrossbarGrid, QuboGrid) = if cli.quick {
         (
             vec![
@@ -286,9 +348,22 @@ fn main() {
         eprintln!("measuring qubo {vars} vars (density {density}, {sweeps} sweeps)...");
         equivalent &= bench_random_qubo(&mut report, vars, density, sweeps, seed);
     }
+    let mut simplex_equivalent = true;
+    for size in [5, 6] {
+        for family in Family::ALL {
+            eprintln!(
+                "measuring exact oracle on {} {size}x{size}...",
+                family.name()
+            );
+            simplex_equivalent &= bench_exact(&mut report, family, size, exact_seeds);
+        }
+    }
     report.write();
     if !equivalent {
         fail("delta path diverged from full evaluation");
+    }
+    if !simplex_equivalent {
+        fail("integer simplex disagreed with the Rat simplex");
     }
     report.enforce_gates();
 }

@@ -1,4 +1,4 @@
-//! Exact rational arithmetic and an exact-rational simplex.
+//! Exact rational arithmetic and an exact phase-1 simplex.
 //!
 //! This crate is the numerical trust anchor of the workspace: every
 //! other layer computes in `f64` and is checked *against* the exact
@@ -19,12 +19,18 @@
 //!   arbitrary-precision integers on `u32` limbs (`u64`
 //!   intermediates), with schoolbook arithmetic, long division and
 //!   Euclidean gcd;
-//! * [`simplex`] — a two-phase primal simplex over [`Rat`] using
-//!   Bland's rule (no cycling, hence guaranteed termination), exposing
-//!   LP feasibility and a basic-feasible-solution **vertex** of the
-//!   feasible region, plus [`linalg`] — exact Gaussian elimination
-//!   with rank detection for square systems, over [`Rat`] and
-//!   fraction-free (Bareiss) over integers in checked `i128`.
+//! * [`simplex`] — a phase-1 primal simplex under Bland's rule (no
+//!   cycling, hence guaranteed termination), exposing LP feasibility
+//!   and a basic-feasible-solution **vertex** of the feasible region.
+//!   There is no phase 2: nothing asks for an optimum. One pivoting
+//!   rule runs over two arithmetics: a reduced [`Rat`] tableau
+//!   ([`feasible_point`]) and, for integer data, a fraction-free
+//!   tableau in checked `i128` ([`feasible_point_integer`]) that makes
+//!   the same Bland choices, returns the same vertex without taking a
+//!   gcd, and reports [`Overflow`] so callers fall back to the `Rat`
+//!   one. Beside it, [`linalg`] — exact Gaussian elimination with rank
+//!   detection for square systems, over [`Rat`] and fraction-free
+//!   (Bareiss) over integers in checked `i128`.
 //!
 //! The intended consumer is exact support enumeration
 //! (`cnash_game::exact_enum`): indifference systems that are singular
@@ -39,4 +45,4 @@ pub mod simplex;
 
 pub use bigint::BigInt;
 pub use rat::Rat;
-pub use simplex::{feasible_point, Constraint, LinearProgram, LpOutcome, Relation};
+pub use simplex::{feasible_point, feasible_point_integer, Constraint, Overflow, Relation};

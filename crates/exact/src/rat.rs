@@ -94,7 +94,7 @@ impl Rat {
     }
 
     /// `num / den` in canonical form; `den` must be nonzero.
-    fn from_i128(num: i128, den: i128) -> Self {
+    pub(crate) fn from_i128(num: i128, den: i128) -> Self {
         Self::from_mags(
             (num < 0) != (den < 0),
             num.unsigned_abs(),

@@ -7,7 +7,8 @@
 //! silently leans on.
 
 use cnash_exact::linalg::{solve, solve_integer, LinSolve};
-use cnash_exact::{BigInt, Rat};
+use cnash_exact::simplex::Relation;
+use cnash_exact::{feasible_point, feasible_point_integer, BigInt, Constraint, Rat};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -110,6 +111,67 @@ fn square(k: usize, entries: &[i64], singular: u8, c: (i64, i64)) -> Vec<Vec<i64
         _ => {}
     }
     a
+}
+
+/// An integer linear program over `vars` nonnegative variables: the
+/// first `rows` of up to five rows, each with coefficients from the
+/// next `vars` of `entries`, relation `=`, `≤` or `≥` by `rels` and
+/// right-hand side from `rhs` (either sign).
+fn program(
+    vars: usize,
+    rows: usize,
+    entries: &[i64],
+    rels: &[u8],
+    rhs: &[i64],
+) -> Vec<Constraint<i64>> {
+    (0..rows)
+        .map(|i| Constraint {
+            coeffs: entries[i * 4..i * 4 + vars].to_vec(),
+            rel: [Relation::Eq, Relation::Le, Relation::Ge][usize::from(rels[i])],
+            rhs: rhs[i],
+        })
+        .collect()
+}
+
+/// The fraction-free simplex returns exactly the `Rat` simplex's
+/// answer — the same vertex, or the same `None` — or reports
+/// overflow, which callers answer by asking the `Rat` simplex. Returns
+/// whether it overflowed. A returned vertex is also checked against
+/// every row by substitution.
+fn integer_simplex_matches_reference(
+    vars: usize,
+    program: &[Constraint<i64>],
+) -> Result<bool, String> {
+    let rat: Vec<Constraint> = program
+        .iter()
+        .map(|c| Constraint {
+            coeffs: c.coeffs.iter().map(|&v| Rat::from_int(v)).collect(),
+            rel: c.rel,
+            rhs: Rat::from_int(c.rhs),
+        })
+        .collect();
+    let reference = feasible_point(vars, &rat);
+    let Ok(point) = feasible_point_integer(vars, program) else {
+        return Ok(true);
+    };
+    prop_assert_eq!(&point, &reference);
+    if let Some(x) = point {
+        prop_assert!(x.iter().all(|v| !v.is_negative()));
+        for c in &rat {
+            let lhs = c
+                .coeffs
+                .iter()
+                .zip(&x)
+                .fold(Rat::zero(), |acc, (a, v)| &acc + &(a * v));
+            let holds = match c.rel {
+                Relation::Eq => lhs == c.rhs,
+                Relation::Le => lhs <= c.rhs,
+                Relation::Ge => lhs >= c.rhs,
+            };
+            prop_assert!(holds, "vertex {:?} violates {:?}", x, c);
+        }
+    }
+    Ok(false)
 }
 
 /// A small rational whose `f64` image is exact (numerator and
@@ -306,5 +368,42 @@ proptest! {
             .collect();
         let a = square(k, &huge, duplicate, (0, 0));
         integer_solve_matches_reference(&a, &rhs[..k])?;
+    }
+
+    /// The fraction-free simplex agrees with the `Rat` simplex on
+    /// small integer programs, where it never overflows.
+    #[test]
+    fn integer_simplex_agrees_with_rat_simplex(
+        vars in 1usize..=4,
+        rows in 1usize..=5,
+        entries in prop::collection::vec(-6i64..=6, 20),
+        rels in prop::collection::vec(0u8..3, 5),
+        rhs in prop::collection::vec(-6i64..=6, 5),
+    ) {
+        let program = program(vars, rows, &entries, &rels, &rhs);
+        prop_assert!(
+            !integer_simplex_matches_reference(vars, &program)?,
+            "small program overflowed"
+        );
+    }
+
+    /// With entries near ±2^62 the fraction-free simplex either agrees
+    /// with the `Rat` simplex or reports overflow; it never returns a
+    /// wrong vertex, wraps or panics.
+    #[test]
+    fn integer_simplex_overflow_is_reported(
+        vars in 1usize..=4,
+        rows in 1usize..=5,
+        entries in prop::collection::vec(-20i64..=20, 25),
+        near in prop::collection::vec(-1i64..=1, 25),
+        rels in prop::collection::vec(0u8..3, 5),
+    ) {
+        let huge: Vec<i64> = entries
+            .iter()
+            .zip(&near)
+            .map(|(&v, &n)| n * (1i64 << 62) + v)
+            .collect();
+        let program = program(vars, rows, &huge[..20], &rels, &huge[20..]);
+        integer_simplex_matches_reference(vars, &program)?;
     }
 }

@@ -19,12 +19,33 @@
 //!   unclassified hit in diffcheck), the exact path hands the system —
 //!   indifference rows, the probability simplex, and the off-support
 //!   best-response inequalities, all of which are linear — to the
-//!   exact two-phase simplex and obtains a **vertex representative**
+//!   exact phase-1 simplex and obtains a **vertex representative**
 //!   of the face, certified feasible by construction;
 //! * feasibility (`q ≥ 0`) and best-response slack are exact
 //!   comparisons, so every returned profile is a *mathematically
 //!   certain* Nash equilibrium, re-checkable by substitution with
 //!   [`verify_exact`].
+//!
+//! Two savings leave the output unchanged, bit for bit:
+//!
+//! * **Iterated strict dominance by a pure action**, decided exactly
+//!   once per game (integer table for integer payoffs, `Rat`
+//!   otherwise), removes actions before the walk, which then skips
+//!   every support holding one. Such a support pair has no solution:
+//!   of the actions in `s ∪ t`, take the one eliminated first, say row
+//!   `i`, beaten by row `k` against every column still live in that
+//!   round. Every column of `t` is still live then, so `(Aq)_k >
+//!   (Aq)_i` for every mixture `q` on `t`. If `k` is in the row
+//!   support `s`, indifference `(Aq)_i = (Aq)_k` fails; if not, `k`'s
+//!   off-support row `(Aq)_k ≤ (Aq)_i` fails (off-support rows cover
+//!   every action outside `s`, eliminated or not). Columns alike.
+//!   Skipped pairs contribute nothing, so the remaining pairs keep
+//!   their order and deduplication keeps the same first-found
+//!   `singular` flag.
+//! * A singular pair with integer payoffs goes to the **fraction-free
+//!   integer simplex** (`cnash_exact::feasible_point_integer`), which
+//!   makes the `Rat` simplex's Bland choices and returns its vertex;
+//!   the `Rat` simplex runs only on overflow or fractional payoffs.
 //!
 //! Float oracles are checked **against** this one, never the reverse.
 
@@ -34,7 +55,7 @@ use crate::error::GameError;
 use crate::strategy::MixedStrategy;
 use crate::support_enum::{subsets_of_size, MAX_ENUM_ACTIONS};
 use cnash_exact::linalg::{solve as exact_solve, solve_integer, LinSolve};
-use cnash_exact::{feasible_point, Constraint, Rat};
+use cnash_exact::{feasible_point, feasible_point_integer, Constraint, Overflow, Rat};
 use std::ops::Sub;
 
 /// An exactly-certified Nash equilibrium.
@@ -75,11 +96,13 @@ impl ExactEquilibrium {
 
 /// Enumerates Nash equilibria of `game` in exact rational arithmetic.
 ///
-/// Walks every equal-size support pair (the same walk as the float
-/// enumerator). Unique indifference systems are accepted or rejected
-/// by exact comparison; exactly-singular systems are resolved by the
-/// exact simplex, contributing a vertex representative of the
-/// continuum they describe (flagged [`ExactEquilibrium::singular`]).
+/// Walks every equal-size support pair of actions that survive
+/// iterated strict dominance (the float enumerator's walk, minus pairs
+/// that provably hold no equilibrium). Unique indifference systems
+/// are accepted or rejected by exact comparison; exactly-singular
+/// systems are resolved by the exact simplex, contributing a vertex
+/// representative of the continuum they describe (flagged
+/// [`ExactEquilibrium::singular`]).
 /// Results are deduplicated by exact equality and sorted by exact
 /// profile order, so the output is bit-reproducible.
 ///
@@ -96,42 +119,59 @@ pub fn enumerate_exact(game: &BimatrixGame) -> Vec<ExactEquilibrium> {
         "exact enumeration limited to {MAX_ENUM_ACTIONS} actions per player"
     );
 
-    // Exact payoff tables, converted once: `a[i][j]` pays the row
-    // player, `bt[j][i]` (transposed) pays the column player.
-    let a: Vec<Vec<Rat>> = (0..n)
-        .map(|i| (0..m).map(|j| exact(game.row_payoffs()[(i, j)])).collect())
-        .collect();
-    let bt: Vec<Vec<Rat>> = (0..m)
-        .map(|j| (0..n).map(|i| exact(game.col_payoffs()[(i, j)])).collect())
-        .collect();
-    let a_int = integer_table(n, m, |i, j| game.row_payoffs()[(i, j)]);
-    let bt_int = integer_table(m, n, |j, i| game.col_payoffs()[(i, j)]);
+    let (a, bt) = rat_tables(game);
+    let ints = integer_tables(game);
+    let (a_int, bt_int) = match &ints {
+        Some((ai, bi)) => (Some(ai.as_slice()), Some(bi.as_slice())),
+        None => (None, None),
+    };
+    let (rows, cols) = match &ints {
+        Some((ai, bi)) => undominated(ai, bi),
+        None => undominated(&a, &bt),
+    };
 
     let mut found: Vec<ExactEquilibrium> = Vec::new();
-    for k in 1..=n.min(m) {
-        let col_supports = subsets_of_size(m, k);
-        for s in subsets_of_size(n, k) {
-            for t in &col_supports {
-                let Some((q, q_sing)) = solve_side(&a, a_int.as_deref(), &s, t, m) else {
-                    continue;
-                };
-                let Some((p, p_sing)) = solve_side(&bt, bt_int.as_deref(), t, &s, n) else {
-                    continue;
-                };
-                let eq = ExactEquilibrium {
-                    row: p,
-                    col: q,
-                    singular: q_sing || p_sing,
-                };
-                debug_assert!(verify_exact(game, &eq), "support-pair solution must verify");
-                if !found.iter().any(|e| e.row == eq.row && e.col == eq.col) {
-                    found.push(eq);
-                }
-            }
+    for_each_pair(&rows, &cols, |s, t| {
+        let Some((q, q_sing)) = solve_side(&a, a_int, s, t, m) else {
+            return;
+        };
+        let Some((p, p_sing)) = solve_side(&bt, bt_int, t, s, n) else {
+            return;
+        };
+        let eq = ExactEquilibrium {
+            row: p,
+            col: q,
+            singular: q_sing || p_sing,
+        };
+        debug_assert!(verify_exact(game, &eq), "support-pair solution must verify");
+        if !found.iter().any(|e| e.row == eq.row && e.col == eq.col) {
+            found.push(eq);
         }
-    }
+    });
     found.sort_by(|x, y| x.row.cmp(&y.row).then_with(|| x.col.cmp(&y.col)));
     found
+}
+
+/// The linear programs of [`enumerate_exact`]'s singular support
+/// pairs, in integers: one for each side of each pair the walk visits
+/// whose indifference system is exactly singular, over that side's
+/// opponent mixture. Empty unless every payoff is an integer of
+/// magnitude below `2^62`. A harness runs the integer and the `Rat`
+/// simplex on these to check that they agree.
+pub fn singular_side_programs(game: &BimatrixGame) -> Vec<Vec<Constraint<i64>>> {
+    let Some((a, bt)) = integer_tables(game) else {
+        return Vec::new();
+    };
+    let (rows, cols) = undominated(&a, &bt);
+    let mut programs = Vec::new();
+    for_each_pair(&rows, &cols, |s, t| {
+        for (table, s, t) in [(&a, s, t), (&bt, t, s)] {
+            if let IntSide::Singular = solve_side_integer(table, s, t) {
+                programs.push(side_program(table, s, t, 0, 1));
+            }
+        }
+    });
+    programs
 }
 
 /// Re-verifies an exact profile by direct substitution: both mixtures
@@ -230,9 +270,38 @@ fn exact(x: f64) -> Rat {
     Rat::from_f64(x).expect("validated games have finite payoffs")
 }
 
-/// The payoff table `(i, j) ↦ payoff(i, j)` as integers, if every
-/// entry is one (as the structured families guarantee) of magnitude
-/// below `2^62`, so that payoff differences fit `i64`.
+/// A game's two payoff tables: the row player's, and the column
+/// player's transposed, so that each player's actions index the outer
+/// `Vec`.
+type Tables<T> = (Vec<Vec<T>>, Vec<Vec<T>>);
+
+/// Both payoff tables, converted exactly: `a[i][j]` pays the row
+/// player, `bt[j][i]` (transposed) pays the column player.
+fn rat_tables(game: &BimatrixGame) -> Tables<Rat> {
+    let (n, m) = (game.row_actions(), game.col_actions());
+    let a = (0..n)
+        .map(|i| (0..m).map(|j| exact(game.row_payoffs()[(i, j)])).collect())
+        .collect();
+    let bt = (0..m)
+        .map(|j| (0..n).map(|i| exact(game.col_payoffs()[(i, j)])).collect())
+        .collect();
+    (a, bt)
+}
+
+/// Both payoff tables in integers — the row player's, and the column
+/// player's transposed — if every payoff is an integer (as the
+/// structured families guarantee) of magnitude below `2^62`, so that
+/// payoff differences fit `i64`.
+fn integer_tables(game: &BimatrixGame) -> Option<Tables<i64>> {
+    let (n, m) = (game.row_actions(), game.col_actions());
+    Some((
+        integer_table(n, m, |i, j| game.row_payoffs()[(i, j)])?,
+        integer_table(m, n, |j, i| game.col_payoffs()[(i, j)])?,
+    ))
+}
+
+/// The table `(i, j) ↦ payoff(i, j)` as integers, if every entry is
+/// one of magnitude below `2^62`.
 fn integer_table(
     rows: usize,
     cols: usize,
@@ -248,6 +317,59 @@ fn integer_table(
                 })
                 .collect()
         })
+        .collect()
+}
+
+/// The actions that survive iterated elimination of actions strictly
+/// dominated by a pure action, as `(rows, cols)`, each ascending. `a`
+/// is the row player's payoff table and `bt` the column player's,
+/// transposed. The surviving set does not depend on the elimination
+/// order.
+fn undominated<T: Ord>(a: &[Vec<T>], bt: &[Vec<T>]) -> (Vec<usize>, Vec<usize>) {
+    let mut rows = vec![true; a.len()];
+    let mut cols = vec![true; bt.len()];
+    while eliminate(a, &mut rows, &cols) | eliminate(bt, &mut cols, &rows) {}
+    let alive = |v: Vec<bool>| (0..v.len()).filter(|&i| v[i]).collect();
+    (alive(rows), alive(cols))
+}
+
+/// One elimination pass for the player whose payoff table is `a`:
+/// every live action that another live action beats against every
+/// live opponent action dies. Returns whether any did.
+fn eliminate<T: Ord>(a: &[Vec<T>], alive: &mut [bool], opp: &[bool]) -> bool {
+    let mut changed = false;
+    for i in 0..a.len() {
+        let beats_i = |k: usize| (0..opp.len()).all(|j| !opp[j] || a[k][j] > a[i][j]);
+        if alive[i] && (0..a.len()).any(|k| k != i && alive[k] && beats_i(k)) {
+            alive[i] = false;
+            changed = true;
+        }
+    }
+    changed
+}
+
+/// Calls `f` on every support pair the walk visits, in order: equal
+/// sizes, ascending; row supports outer. Supports are drawn from the
+/// surviving actions `rows` and `cols`, in the float enumerator's
+/// order with every other support left out.
+fn for_each_pair(rows: &[usize], cols: &[usize], mut f: impl FnMut(&[usize], &[usize])) {
+    for k in 1..=rows.len().min(cols.len()) {
+        let col_supports = supports(cols, k);
+        for s in supports(rows, k) {
+            for t in &col_supports {
+                f(&s, t);
+            }
+        }
+    }
+}
+
+/// The `k`-element subsets of `actions` (ascending), in the float
+/// enumerator's order: an order-preserving relabelling of
+/// [`subsets_of_size`].
+fn supports(actions: &[usize], k: usize) -> Vec<Vec<usize>> {
+    subsets_of_size(actions.len(), k)
+        .into_iter()
+        .map(|s| s.into_iter().map(|i| actions[i]).collect())
         .collect()
 }
 
@@ -342,19 +464,34 @@ fn solve_side_integer(a: &[Vec<i64>], s: &[usize], t: &[usize]) -> IntSide {
     }
 }
 
-/// The support pair as an exact linear program — indifference
-/// equalities, normalization, off-support inequalities, `x ≥ 0`
-/// implicit — decided by the exact simplex, which returns a vertex
-/// of the feasible face as its representative.
-fn simplex_side(a: &[Vec<Rat>], s: &[usize], t: &[usize]) -> Option<Vec<Rat>> {
-    let (rows, rhs) = indifference_system(a, s, t, Rat::zero(), Rat::one());
-    let mut cs: Vec<Constraint> = rows
+/// One side of a support pair as an exact linear program over the
+/// opponent's mixture on `t`: indifference equalities, normalization,
+/// off-support inequalities, `x ≥ 0` implicit. The exact simplex
+/// decides it and returns a vertex of the feasible face as its
+/// representative.
+fn side_program<T: Clone>(
+    a: &[Vec<T>],
+    s: &[usize],
+    t: &[usize],
+    zero: T,
+    one: T,
+) -> Vec<Constraint<T>>
+where
+    for<'x> &'x T: Sub<Output = T>,
+{
+    let (rows, rhs) = indifference_system(a, s, t, zero.clone(), one);
+    let mut cs: Vec<Constraint<T>> = rows
         .into_iter()
         .zip(rhs)
         .map(|(row, b)| Constraint::eq(row, b))
         .collect();
-    cs.extend(off_support_rows(a, s, t).map(|row| Constraint::le(row, Rat::zero())));
-    feasible_point(s.len(), &cs)
+    cs.extend(off_support_rows(a, s, t).map(|row| Constraint::le(row, zero.clone())));
+    cs
+}
+
+/// [`side_program`] over [`Rat`], decided by the `Rat` simplex.
+fn simplex_side(a: &[Vec<Rat>], s: &[usize], t: &[usize]) -> Option<Vec<Rat>> {
+    feasible_point(s.len(), &side_program(a, s, t, Rat::zero(), Rat::one()))
 }
 
 /// Solves one side of a support pair exactly: find the *opponent*
@@ -365,7 +502,8 @@ fn simplex_side(a: &[Vec<Rat>], s: &[usize], t: &[usize]) -> Option<Vec<Rat>> {
 ///
 /// `a` is the focal player's payoff table, focal actions indexing the
 /// outer `Vec`; `a_int` is the same table in integers when every
-/// payoff is one, which decides unique systems without fractions.
+/// payoff is one, which decides unique systems and the simplex of
+/// singular ones without fractions.
 /// Both paths are exact, so they return the same answer.
 fn solve_side(
     a: &[Vec<Rat>],
@@ -375,11 +513,16 @@ fn solve_side(
     opp_len: usize,
 ) -> Option<(Vec<Rat>, bool)> {
     debug_assert_eq!(s.len(), t.len());
-    let (sol, singular) = match a_int.map(|ai| solve_side_integer(ai, s, t)) {
-        Some(IntSide::Accept(sol)) => (sol, false),
-        Some(IntSide::Reject) => return None,
-        Some(IntSide::Singular) => (simplex_side(a, s, t)?, true),
-        Some(IntSide::Overflow) | None => {
+    let (sol, singular) = match a_int.map(|ai| (ai, solve_side_integer(ai, s, t))) {
+        Some((_, IntSide::Accept(sol))) => (sol, false),
+        Some((_, IntSide::Reject)) => return None,
+        Some((ai, IntSide::Singular)) => {
+            let program = side_program(ai, s, t, 0, 1);
+            let vertex = feasible_point_integer(s.len(), &program)
+                .unwrap_or_else(|Overflow| simplex_side(a, s, t));
+            (vertex?, true)
+        }
+        Some((_, IntSide::Overflow)) | None => {
             let (rows, rhs) = indifference_system(a, s, t, Rat::zero(), Rat::one());
             match exact_solve(&rows, &rhs) {
                 LinSolve::Unique(sol) => {
@@ -536,7 +679,8 @@ mod tests {
     fn rational_fallback_agrees_with_integer_path() {
         // An affine payoff map with positive slope moves no
         // equilibrium. Scaling by 2^40 keeps the payoffs integral but
-        // overflows the fraction-free solve on 3×3 supports; a
+        // overflows the fraction-free solve on 3×3 supports, and the
+        // fraction-free simplex on two singular 2×2 sides; a
         // fractional map takes every system through `Rat`.
         let affine = |g: &BimatrixGame, f: &dyn Fn(f64) -> f64| {
             let name = format!("{}-mapped", g.name());
@@ -553,6 +697,85 @@ mod tests {
                     let shifted = affine(&g, &|x| x / 4.0 + 0.5);
                     assert_eq!(enumerate_exact(&scaled), want, "{}", g.name());
                     assert_eq!(enumerate_exact(&shifted), want, "{}", g.name());
+                }
+            }
+        }
+    }
+
+    /// `undominated` over both the integer and the `Rat` form of the
+    /// row player's table `a` and the column player's table `b`.
+    fn survivors(a: &[Vec<i64>], b: &[Vec<i64>]) -> (Vec<usize>, Vec<usize>) {
+        let bt: Vec<Vec<i64>> = (0..b[0].len())
+            .map(|j| b.iter().map(|row| row[j]).collect())
+            .collect();
+        let rat = |t: &[Vec<i64>]| -> Vec<Vec<Rat>> {
+            t.iter()
+                .map(|row| row.iter().map(|&v| Rat::from_int(v)).collect())
+                .collect()
+        };
+        let got = undominated(a, &bt);
+        assert_eq!(undominated(&rat(a), &rat(&bt)), got);
+        got
+    }
+
+    #[test]
+    fn dominance_is_iterated_across_players() {
+        // No row beats another at first; column 0 strictly beats
+        // column 1, and once column 1 is gone row 0 beats row 1.
+        let a = [vec![2, 0], vec![1, 3]];
+        let b = [vec![2, 1], vec![2, 1]];
+        assert_eq!(survivors(&a, &b), (vec![0], vec![0]));
+    }
+
+    #[test]
+    fn weakly_dominated_and_duplicate_actions_survive() {
+        // Row 1 is only weakly beaten by row 0: both stay.
+        let zeros = [vec![0, 0], vec![0, 0]];
+        let a = [vec![1, 1], vec![1, 0]];
+        assert_eq!(survivors(&a, &zeros), (vec![0, 1], vec![0, 1]));
+        // Rows 0 and 1 are equal, so neither beats the other; both
+        // strictly beat row 2.
+        let zeros = [vec![0, 0], vec![0, 0], vec![0, 0]];
+        let a = [vec![1, 2], vec![1, 2], vec![0, 0]];
+        assert_eq!(survivors(&a, &zeros), (vec![0, 1], vec![0, 1]));
+    }
+
+    proptest::proptest! {
+        /// No equilibrium the float enumerator finds puts weight on an
+        /// action that iterated strict dominance eliminates, in family
+        /// games and in their quartered images (which are decided over
+        /// the `Rat` tables).
+        #[test]
+        fn eliminated_actions_carry_no_weight(
+            family in proptest::prop::sample::select(crate::families::Family::ALL.to_vec()),
+            rows in 2usize..=6,
+            cols in 2usize..=6,
+            seed in 0u64..1000,
+            quartered in proptest::prop::bool::ANY,
+        ) {
+            let g = family
+                .build_rect(rows, cols, family.default_scale(), family.default_knob(), seed)
+                .unwrap();
+            let g = if quartered {
+                let quarter = |x: f64| x / 4.0;
+                let (a, b) = (g.row_payoffs().map(quarter), g.col_payoffs().map(quarter));
+                BimatrixGame::new("quartered", a, b).unwrap()
+            } else {
+                g
+            };
+            let (live_rows, live_cols) = match integer_tables(&g) {
+                Some((a, bt)) => undominated(&a, &bt),
+                None => {
+                    let (a, bt) = rat_tables(&g);
+                    undominated(&a, &bt)
+                }
+            };
+            for eq in enumerate_equilibria(&g, 1e-9) {
+                for i in (0..rows).filter(|i| !live_rows.contains(i)) {
+                    proptest::prop_assert!(eq.row.probs()[i] == 0.0, "row {i} in {eq}");
+                }
+                for j in (0..cols).filter(|j| !live_cols.contains(j)) {
+                    proptest::prop_assert!(eq.col.probs()[j] == 0.0, "col {j} in {eq}");
                 }
             }
         }

@@ -743,6 +743,13 @@ impl SolverSpec {
                 reads_per_run: reads,
             } => {
                 let model = dwave_model(model)?;
+                // Checked before the lookup, like the model, so a
+                // rejected budget programs and counts nothing.
+                if *reads == 0 {
+                    return Err(
+                        CoreError::InvalidConfig("dwave needs reads_per_run > 0".into()).into(),
+                    );
+                }
                 let key = Hasher64::new()
                     .write_str("squbo")
                     .write_u64(game.canonical_fingerprint())

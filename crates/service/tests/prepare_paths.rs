@@ -123,10 +123,10 @@ fn bad_specs_get_one_error_text_on_both_paths() {
 }
 
 #[test]
-fn zero_dwave_reads_are_found_after_the_s_qubo_is_programmed() {
-    // The read budget is checked when the solver is built around the
-    // programmed S-QUBO, so the lookup counts a miss and keeps the
-    // instance for the next request with a valid budget.
+fn zero_dwave_reads_are_rejected_before_the_s_qubo_is_programmed() {
+    // The read budget is checked before the lookup, like the model:
+    // the rejected request programs and counts nothing, so the next
+    // request with a valid budget is the one that misses.
     let game = paper_benchmarks().remove(0).game;
     let cache = InstanceCache::new();
     let spec = |reads_per_run| SolverSpec::DWave {
@@ -137,11 +137,12 @@ fn zero_dwave_reads_are_found_after_the_s_qubo_is_programmed() {
     assert_eq!(spec(0).build(&game).err().unwrap().message, text);
     let daemon = cache.prepare_with_game(game.clone(), &spec(0));
     assert_eq!(daemon.err().unwrap().message, text);
-    assert!(cache.prepare_with_game(game, &spec(1)).unwrap().cache_hit);
+    assert_eq!(cache.stats(), InstanceCache::new().stats());
+    assert!(!cache.prepare_with_game(game, &spec(1)).unwrap().cache_hit);
     let stats = cache.stats();
     assert_eq!(
         (stats.instance_hits, stats.instance_misses, stats.instances),
-        (1, 1, 1)
+        (0, 1, 1)
     );
 }
 
